@@ -28,7 +28,7 @@ from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profil
 from .intertwine import m_tau_expansion, zeta_support_verdict
 from .parabolic import NotSpinError, SpinParabolic, format_xp, parse_composition
 from .refine import (DEFAULT_ENUMERATION_BOUND, EnumerationBoundError, Refinement,
-                     gamma, optimal_parabolic, spin_set, stratify, to_B_spin)
+                     gamma, optimal_parabolic, spin_set, stratum_words, to_B_spin)
 from .rootdata import PureWeight
 from .weyl import format_one_line
 
@@ -100,49 +100,104 @@ def _parse_parabolic(text: str, n: int | None = None) -> SpinParabolic:
 # classify
 # ---------------------------------------------------------------------------
 
-def _strata_rows(n: int, bound: int) -> list[dict]:
-    if n < 1:
-        raise CliError(f"--n must be >= 1, got {n}")
-    try:
-        strata = stratify(n, bound)
-    except EnumerationBoundError as exc:
-        raise CliError(str(exc), EXIT_BOUND) from exc
-    rows = []
-    for p in sorted(strata, key=lambda p: (-len(p.xp), p.composition)):
-        members = [r.one_line() for r in strata[p]]
-        rows.append({
-            "parabolic": p.label(),
-            "xp": sorted(p.xp),
-            "dim": len(p.xp) + 1,
-            "size": len(members),
-            "members": members,
-        })
-    return rows
+# classify formats and writes this many members of a stratum at a time.
+MEMBERS_PER_WRITE = 1 << 16
+
+# Per byte value v: the units digit of v, and the tens digit of v or a NUL
+# placeholder (deleted afterwards) when v < 10.
+_UNITS = bytes(ord("0") + v % 10 for v in range(256))
+_TENS = b"\0" * 10 + bytes(ord("0") + v // 10 % 10 for v in range(10, 256))
+
+
+def _joined_one_line(words: bytes, N: int, sep: str) -> str:
+    """sep.join of the one-line notation of each N-byte word, in bulk.
+
+    Same text as format_one_line per member (digits concatenated for
+    N <= 9, comma-separated above; values below 100), built column by
+    column with translate and strided slice assignment instead of member by
+    member.
+    """
+    count = len(words) // N
+    units = words.translate(_UNITS)
+    if N <= 9:
+        columns = [units[i::N] for i in range(N)]
+    else:
+        tens = words.translate(_TENS)
+        comma = b"," * count
+        columns = []
+        for i in range(N):
+            columns += [tens[i::N], units[i::N], comma]
+        columns.pop()
+    columns += [bytes([c]) * count for c in sep.encode()]
+    stride = len(columns)
+    out = bytearray(stride * count)
+    for offset, column in enumerate(columns):
+        out[offset::stride] = column
+    del out[len(out) - len(sep):]
+    if N > 9:
+        out = out.replace(b"\0", b"")
+    return out.decode("ascii")
 
 
 def cmd_classify(args) -> int:
-    rows = _strata_rows(args.n, args.bound)
-    total = sum(row["size"] for row in rows)
+    n = args.n
+    if n < 1:
+        raise CliError(f"--n must be >= 1, got {n}")
+    try:
+        strata = stratum_words(n, args.bound)
+    except EnumerationBoundError as exc:
+        raise CliError(str(exc), EXIT_BOUND) from exc
+    N = 2 * n
+    order = sorted(strata, key=lambda p: (-len(p.xp), p.composition))
+    sizes = {p: len(strata[p]) // N for p in order}
+    total = sum(sizes.values())
+    out = sys.stdout
+
+    def write_row(p: SpinParabolic, head: str, sep: str, tail: str) -> None:
+        """Write head, the stratum's members joined by sep, then tail.
+
+        The members are formatted a block at a time and the stratum's words
+        are freed once written.
+        """
+        words = strata.pop(p)
+        step = MEMBERS_PER_WRITE * N
+        out.write(head)
+        for start in range(0, len(words), step):
+            out.write((sep if start else "") + _joined_one_line(words[start:start + step], N, sep))
+        out.write(tail)
+
     if args.format == "json":
-        print(json.dumps({"n": args.n, "total": total, "strata": rows}, ensure_ascii=False))
+        # The text of json.dumps: the member strings need no escaping.
+        out.write(f'{{"n": {n}, "total": {total}, "strata": [')
+        for index, p in enumerate(order):
+            quote = '"' if sizes[p] else ""
+            write_row(p, f'{", " if index else ""}{{"parabolic": {json.dumps(p.label())}, '
+                         f'"xp": {json.dumps(sorted(p.xp))}, "dim": {len(p.xp) + 1}, '
+                         f'"size": {sizes[p]}, "members": [{quote}', '", "', f"{quote}]}}")
+        out.write("]}\n")
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        # The csv module writes the header and each row's first four fields.
+        # The members field follows, quoted as csv quotes it: it holds
+        # commas, and so needs quotes, only above degree 9.
+        writer = csv.writer(out, lineterminator="")
         writer.writerow(["parabolic", "xp", "dim", "size", "members"])
-        for row in rows:
-            writer.writerow([row["parabolic"], format_xp(frozenset(row["xp"])),
-                             row["dim"], row["size"], " ".join(row["members"])])
+        for p in order:
+            out.write("\n")
+            writer.writerow([p.label(), format_xp(p.xp), len(p.xp) + 1, sizes[p], ""])
+            quote = '"' if N > 9 and sizes[p] else ""
+            write_row(p, quote, " ", quote)
+        out.write("\n")
     else:
-        print(f"stratification of the {total} refinements of GL({2 * args.n}) "
+        print(f"stratification of the {total} refinements of GL({N}) "
               f"by optimal spin parabolic")
-        width = max(len("parabolic"), *(len(row["parabolic"]) for row in rows))
-        xp_width = max(len("X_P"), *(len(format_xp(frozenset(row["xp"]))) for row in rows))
+        width = max(len("parabolic"), *(len(p.label()) for p in order))
+        xp_width = max(len("X_P"), *(len(format_xp(p.xp)) for p in order))
         print(f"{'parabolic':<{width + 2}}{'X_P':<{xp_width + 2}}dim  size  members")
-        for row in rows:
-            members = " ".join(row["members"])
-            print(f"{row['parabolic']:<{width + 2}}"
-                  f"{format_xp(frozenset(row['xp'])):<{xp_width + 2}}"
-                  f"{row['dim']:<5}{row['size']:<6}{members}".rstrip())
-        counts = ", ".join(f"{row['parabolic']}: {row['size']}" for row in rows)
+        for p in order:
+            head = (f"{p.label():<{width + 2}}{format_xp(p.xp):<{xp_width + 2}}"
+                    f"{len(p.xp) + 1:<5}{sizes[p]:<6}")
+            write_row(p, head if sizes[p] else head.rstrip(), " ", "\n")
+        counts = ", ".join(f"{p.label()}: {sizes[p]}" for p in order)
         print(f"totals: {counts}")
     return 0
 

@@ -177,10 +177,6 @@ class ValuationProfile:
         """v_p(eta_0(p)) under eta = eta_0 p^{-sw}."""
         return self.eta_val + self.sw
 
-    @property
-    def is_regular(self) -> bool:
-        return len(set(self.t)) == len(self.t)
-
 
 # ---------------------------------------------------------------------------
 # Eigenvalue monomials of the U_{p,k}.

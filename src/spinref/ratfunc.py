@@ -78,10 +78,6 @@ class Poly:
                     del out[mono]
         return Poly(self.nvars, out)
 
-    def scale(self, c: int) -> "Poly":
-        return Poly(self.nvars, {m: c * v for m, v in self.coeffs.items()}) if c else \
-            Poly(self.nvars)
-
     def content(self) -> int:
         g = 0
         for c in self.coeffs.values():

@@ -21,9 +21,11 @@ transposition at a time, driving any refinement to a fully spin one.
 
 from __future__ import annotations
 
+import io
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, factorial
 
 from .parabolic import SpinParabolic, all_spin_parabolics
 from .weyl import (LeviCoset, Perm, coset_min_rep, enumerate_wg0, format_one_line,
@@ -132,34 +134,47 @@ def is_r_spin(r: Refinement, k: int) -> bool:
     return first == partners
 
 
-def _images_spin_set(images: tuple[int, ...], n: int) -> frozenset[int]:
-    """All spin indices of a one-line word, in one incremental sweep.
+def _grow_masks(values, bits: tuple[int, ...], width: int) -> int:
+    """Bitmasks of the first 1, 2, ... values, packed into fields of width bits.
 
-    Grows the prefix-value set and the complemented suffix-value set one
-    element per step; index k is spin exactly when the two sets coincide,
-    i.e. when both pending difference sets are empty.
+    Field k (counted from the low end, from 0) holds the set
+    {values[0], ..., values[k]} as the sum of bits[v].
     """
-    N = 2 * n
-    pending_a: set[int] = set()
-    pending_b: set[int] = set()
-    out = []
-    for k in range(1, n + 1):
-        a = images[k - 1]
-        b = N + 1 - images[N - k]
-        if a == b:
-            pass
-        else:
-            if a in pending_b:
-                pending_b.discard(a)
-            else:
-                pending_a.add(a)
-            if b in pending_a:
-                pending_a.discard(b)
-            else:
-                pending_b.add(b)
-        if not pending_a and not pending_b:
-            out.append(k)
-    return frozenset(out)
+    mask = packed = shift = 0
+    for v in values:
+        mask |= bits[v]
+        packed |= mask << shift
+        shift += width
+    return packed
+
+
+@lru_cache(maxsize=None)
+def _sweep_layout(n: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
+    """Field width, fill, guard bits, and head and tail value bits at rank n.
+
+    The sweep packs the masks of the first 1..n one-line values (head
+    masks, value v as bit v) and of the last 1..n values read from the end
+    (tail masks, value v as bit 2n+1-v, the bit of its partner); index k is
+    spin exactly when field k-1 of the two agrees.  A field holds a mask
+    below bit 2n+1, so adding the fill 2^(2n+1) - 1 to a field of
+    head ^ tail sets the field's guard bit 2n+1 exactly when the masks
+    differ, without carrying into the next field.  The spin key
+    ((head ^ tail) + fill) & guard thus has a guard bit set for each index
+    that is not spin.
+    """
+    N1 = 2 * n + 1
+    width = N1 + 1
+    fill = sum(((1 << N1) - 1) << (k * width) for k in range(n))
+    guard = sum(1 << (N1 + k * width) for k in range(n))
+    return (width, fill, guard, tuple(1 << v for v in range(N1)),
+            tuple(1 << (N1 - v) for v in range(N1)))
+
+
+@lru_cache(maxsize=None)
+def _key_spin_set(key: int, n: int) -> frozenset[int]:
+    """The spin indices of a spin key: those whose guard bit is clear."""
+    width = _sweep_layout(n)[0]
+    return frozenset(k for k in range(1, n + 1) if not (key >> (k * width - 1)) & 1)
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +200,12 @@ def is_P_spin(r: Refinement, p: SpinParabolic, method: str = "combinatorial") ->
 
 
 def spin_set(r: Refinement) -> frozenset[int]:
-    return _images_spin_set(r.sigma.images, r.n)
+    """All k in 1..n for which the refinement is k-spin, in one bitmask sweep."""
+    n, images = r.n, r.sigma.images
+    width, fill, guard, head_bits, tail_bits = _sweep_layout(n)
+    head = _grow_masks(images[:n], head_bits, width)
+    tail = _grow_masks(images[:n - 1:-1], tail_bits, width)
+    return _key_spin_set(((head ^ tail) + fill) & guard, n)
 
 
 def optimal_parabolic(r: Refinement) -> SpinProfile:
@@ -198,6 +218,95 @@ def is_B_spin(r: Refinement) -> bool:
     return len(spin_set(r)) == r.n
 
 
+def stratum_counts(n: int) -> dict[frozenset[int], int]:
+    """The size of every stratum in closed form, keyed by its spin set X_P.
+
+    The refinements that are r-spin for every r in X = {r_1 < ... < r_k}
+    number prod_j C(m_j, d_j) * 2^d_j * (d_j!)^2 * (2(n - r_k))!, where
+    d_j = r_j - r_{j-1} and m_j = n - r_{j-1} (r_0 = 0): block j of the
+    front positions takes one value from each of d_j of the m_j unused pairs
+    {v, 2n+1-v} and the mirrored back block takes their partners, each in
+    any order, and the middle takes the rest.  Inclusion-exclusion over the
+    supersets of X leaves the refinements whose spin set is exactly X.
+    """
+    subsets = [frozenset(c) for size in range(n + 1)
+               for c in itertools.combinations(range(1, n + 1), size)]
+    at_least = {}
+    for x in subsets:
+        count, prev = 1, 0
+        for r in sorted(x):
+            d, m = r - prev, n - prev
+            count *= comb(m, d) * 2 ** d * factorial(d) ** 2
+            prev = r
+        at_least[x] = count * factorial(2 * (n - prev))
+    return {x: sum((-1) ** len(y - x) * at_least[y] for y in subsets if x <= y)
+            for x in subsets}
+
+
+class StratumCountError(RuntimeError):
+    """An enumerated stratum's size differs from its closed-form count."""
+
+
+def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
+                  ) -> dict[SpinParabolic, bytes]:
+    """Partition all (2n)! one-line words by their optimal spin parabolic.
+
+    Every spin parabolic appears as a key, possibly with an empty stratum.
+    A stratum is one bytes object holding its members' one-line images, one
+    byte per value and 2n bytes per member, in one-line order.
+
+    The words are enumerated as a head (the first n values, in one-line
+    order) followed by each arrangement of the remaining values, which is
+    one-line order overall.  The head's prefix masks are grown once per
+    head and each tail's complemented-suffix masks once per tail, so a word
+    costs one packed comparison and two writes.  Each stratum's buffer is
+    allocated once at its closed-form size, so memory does not depend on
+    how growing buffers happen to fragment the heap; every size is checked
+    against what the enumeration wrote.
+    """
+    if n > bound:
+        raise EnumerationBoundError(
+            f"n={n} exceeds the enumeration bound {bound}; raise the bound explicitly")
+    N = 2 * n
+    width, fill, guard, head_bits, tail_bits = _sweep_layout(n)
+    top = (n - 1) * width
+    values = range(1, N + 1)
+    everything = sum(1 << v for v in values)
+    # Every arrangement of each set of n values, with its tail masks, keyed
+    # by the set's mask.
+    tails = {}
+    for rest in itertools.combinations(values, n):
+        tails[sum(1 << v for v in rest)] = [
+            (bytes(tail), _grow_masks(tail[::-1], tail_bits, width))
+            for tail in itertools.permutations(rest)]
+    counts = stratum_counts(n)
+    streams = {p: io.BytesIO() for p in all_spin_parabolics(n)}
+    writers = {}
+    for p, stream in streams.items():
+        if counts[p.xp]:
+            # Writing the last byte sizes the buffer; the words then
+            # overwrite it from the start.
+            stream.seek(counts[p.xp] * N - 1)
+            stream.write(b"\0")
+            stream.seek(0)
+        key = sum(1 << (k * width - 1) for k in range(1, n + 1) if k not in p.xp)
+        writers[key] = stream.write
+    for head in itertools.permutations(values, n):
+        head_masks = _grow_masks(head, head_bits, width)
+        head_bytes = bytes(head)
+        # The top field of the head masks is the set of the head's values.
+        for tail_bytes, tail_masks in tails[everything ^ (head_masks >> top)]:
+            write = writers[((head_masks ^ tail_masks) + fill) & guard]
+            write(head_bytes)
+            write(tail_bytes)
+    for p, stream in streams.items():
+        if stream.tell() != counts[p.xp] * N:
+            raise StratumCountError(
+                f"stratum {p.label()} has {stream.tell() // N} members, "
+                f"closed form {counts[p.xp]}")
+    return {p: stream.getvalue() for p, stream in streams.items()}
+
+
 def stratify(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
              ) -> dict[SpinParabolic, list[Refinement]]:
     """Partition all (2n)! refinements by their optimal spin parabolic.
@@ -205,19 +314,9 @@ def stratify(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
     Every spin parabolic appears as a key, possibly with an empty stratum;
     members are sorted by one-line notation.
     """
-    if n > bound:
-        raise EnumerationBoundError(
-            f"n={n} exceeds the enumeration bound {bound}; raise the bound explicitly")
-    buckets: dict[frozenset[int], list[tuple[int, ...]]] = {
-        p.xp: [] for p in all_spin_parabolics(n)}
-    for images in itertools.permutations(range(1, 2 * n + 1)):
-        buckets[_images_spin_set(images, n)].append(images)
-    strata: dict[SpinParabolic, list[Refinement]] = {}
-    for p in all_spin_parabolics(n):
-        members = buckets[p.xp]
-        members.sort()
-        strata[p] = [Refinement(n, Perm(images)) for images in members]
-    return strata
+    N = 2 * n
+    return {p: [Refinement(n, Perm(tuple(words[i:i + N]))) for i in range(0, len(words), N)]
+            for p, words in stratum_words(n, bound).items()}
 
 
 def parahoric_restrict(r: Refinement, p: SpinParabolic) -> ParahoricRefinement:

@@ -208,9 +208,6 @@ class PureWeight:
     def is_dominant(self) -> bool:
         return all(a >= b for a, b in zip(self.coeffs, self.coeffs[1:]))
 
-    def gl_character(self) -> GLCharacter:
-        return GLCharacter(self.n, self.coeffs)
-
     def gap(self, i: int) -> int:
         """lambda_i - lambda_{i+1} for 1 <= i <= 2n-1."""
         return self.coeffs[i - 1] - self.coeffs[i]

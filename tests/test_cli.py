@@ -1,8 +1,13 @@
+import hashlib
 import json
+import random
 from pathlib import Path
 
+import pytest
 
+from spinref import cli
 from spinref.cli import main, parse_refinement_report, refinement_report
+from spinref.weyl import Perm, format_one_line
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,6 +56,58 @@ class TestClassify:
     def test_rank_validated(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "0")
         assert code == 1 and ">= 1" in err
+
+    # SHA-256 of stdout as produced by the per-member implementation that
+    # built a Perm for every refinement; the output must not change.
+    PINNED = {
+        (3, "table"): "2b2ac1730281947428254d00423d61aebdd209439f0d0190827bc574b4bd1872",
+        (3, "json"): "2cb4e2334d060da8e115390ded5e509647ae13c789b520af498885664e1b6ca6",
+        (3, "csv"): "bcc7225e478442ab625e5103429c05f1e3c670b8f770c2e37bef9108495f05c1",
+        (4, "table"): "ee6febf34026ee59c2d19d42d80f129e12c9441d0e4814d5994f0a1bb2af5e1a",
+        (4, "json"): "f0c2cbd93fd04efdf5da6e0a70fe6c76e3704e7b9c4ef1910bc3ea0cd6bf7e02",
+        (4, "csv"): "44ac8a4debb8973e0e68a9985b1bb5170b6e4b9fdd1c1e1a8b3fe12e14d6b531",
+    }
+
+    @pytest.mark.parametrize("n,fmt", sorted(PINNED))
+    def test_pinned_digest(self, capsys, n, fmt):
+        code, out, _ = run(capsys, "classify", "--n", str(n), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[n, fmt]
+
+    def test_pinned_digest_n5_csv(self, monkeypatch):
+        # The largest default rank, and the only one whose members hold
+        # commas (degree 10), so the CSV field is quoted; 76 MB are hashed as
+        # they are written instead of captured.
+        class HashingStdout:
+            def __init__(self):
+                self.digest = hashlib.sha256()
+
+            def write(self, text):
+                self.digest.update(text.encode())
+                return len(text)
+
+        sink = HashingStdout()
+        monkeypatch.setattr("sys.stdout", sink)
+        assert main(["classify", "--n", "5", "--format", "csv"]) == 0
+        assert sink.digest.hexdigest() == \
+            "e2e4122cdca152e644007dcf2861a5e36846a575f657d9f52adcd24d19fd95bb"
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_pinned_digest_written_in_small_blocks(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "MEMBERS_PER_WRITE", 7)
+        code, out, _ = run(capsys, "classify", "--n", "3", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[3, fmt]
+
+    @pytest.mark.parametrize("N", [2, 4, 8, 10, 12, 14])
+    @pytest.mark.parametrize("sep", [" ", '", "'])
+    def test_bulk_one_line_matches_format_one_line(self, N, sep):
+        rng = random.Random(N)
+        perms = [Perm(tuple(rng.sample(range(1, N + 1), N))) for _ in range(50)]
+        words = b"".join(bytes(p.images) for p in perms)
+        assert cli._joined_one_line(words, N, sep) == \
+            sep.join(format_one_line(p) for p in perms)
+        assert cli._joined_one_line(b"", N, sep) == ""
 
 
 class TestInfo:

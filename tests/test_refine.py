@@ -1,12 +1,16 @@
 import itertools
+import random
+from collections import Counter
+from math import factorial
 
 import pytest
 
 from spinref.parabolic import SpinParabolic, all_spin_parabolics
-from spinref.refine import (EnumerationBoundError, Refinement,
+from spinref import refine
+from spinref.refine import (EnumerationBoundError, Refinement, StratumCountError,
                             gamma, improve_spin_step, is_B_spin, is_P_spin, is_r_spin,
                             optimal_parabolic, parahoric_is_spin, parahoric_restrict,
-                            spin_set, stratify, to_B_spin)
+                            spin_set, stratify, stratum_counts, to_B_spin)
 from spinref.weyl import Perm, enumerate_wg0
 
 ALL_S4 = [Refinement(2, Perm(images))
@@ -77,9 +81,17 @@ class TestRSpin:
             for k in range(1, n + 1):
                 assert g.preserves_prefix(k) == is_r_spin(r, k)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_incremental_sweep_matches_direct_test(self, n):
         for r in all_refinements(n):
+            assert spin_set(r) == \
+                frozenset(k for k in range(1, n + 1) if is_r_spin(r, k))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_incremental_sweep_matches_direct_test_sampled(self, n):
+        rng = random.Random(n)
+        for _ in range(10_000):
+            r = Refinement(n, Perm(tuple(rng.sample(range(1, 2 * n + 1), 2 * n))))
             assert spin_set(r) == \
                 frozenset(k for k in range(1, n + 1) if is_r_spin(r, k))
 
@@ -155,6 +167,39 @@ class TestStratify:
             stratify(6)
         with pytest.raises(EnumerationBoundError):
             stratify(3, bound=2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_matches_direct_count(self, n):
+        direct = Counter(frozenset(k for k in range(1, n + 1) if is_r_spin(r, k))
+                         for r in all_refinements(n))
+        assert {x: c for x, c in stratum_counts(n).items() if c} == dict(direct)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sizes_match_closed_form(self, n):
+        sizes = {p.xp: len(members) for p, members in stratify(n).items()}
+        assert sizes == stratum_counts(n)
+
+    def test_closed_form_totals(self):
+        for n in range(1, 13):
+            counts = stratum_counts(n)
+            assert len(counts) == 2 ** n
+            assert sum(counts.values()) == factorial(2 * n)
+            assert counts[frozenset(range(1, n + 1))] == 2 ** n * factorial(n)
+
+    def test_count_mismatch_raises(self, monkeypatch):
+        wrong = stratum_counts(2)
+        wrong[frozenset({1, 2})] += 1
+        wrong[frozenset()] -= 1
+        monkeypatch.setattr(refine, "stratum_counts", lambda n: wrong)
+        with pytest.raises(StratumCountError):
+            stratify(2)
+
+    def test_members_sorted_and_spin_exactly_xp(self):
+        for p, members in stratify(3).items():
+            images = [r.sigma.images for r in members]
+            assert images == sorted(set(images))
+            for r in members:
+                assert {k for k in range(1, 4) if is_r_spin(r, k)} == p.xp
 
     def test_counts_n3(self):
         strata = stratify(3)
