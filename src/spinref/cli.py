@@ -12,7 +12,7 @@ Subcommands:
   coefficients.
 
 Output is deterministic (members sorted by one-line notation) so tables
-diff cleanly.  Exit codes: 2 enumeration bound exceeded, 3 malformed
+diff cleanly.  Exit codes: 2 rank bound exceeded (classify, mtau), 3 malformed
 permutation, 4 missing slope data, 5 non-spin composition.
 """
 
@@ -344,10 +344,18 @@ def cmd_zeta(args) -> int:
 # mtau
 # ---------------------------------------------------------------------------
 
+# Largest rank mtau computes unless --bound raises it: at n = 4 the Borel
+# expansion takes a fraction of a second, at n = 5 it ran past 300 s.
+DEFAULT_MTAU_BOUND = 4
+
+
 def cmd_mtau(args) -> int:
     p = _parse_parabolic(args.parabolic)
     if args.n is not None and args.n != p.n:
         raise CliError(f"--n {args.n} disagrees with the composition (rank {p.n})")
+    if p.n > args.bound:
+        raise CliError(f"n={p.n} exceeds the mtau bound {args.bound}; "
+                       f"raise the bound explicitly", EXIT_BOUND)
     expansion, prenorm = m_tau_expansion(p.n, p)
     rows = sorted(((format_one_line(coset.rep), str(coeff))
                    for coset, coeff in expansion.items()))
@@ -407,6 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--parabolic", required=True,
                    help="spin composition contained in the (n,n)-parabolic")
     m.add_argument("--n", type=int, help="cross-check of the rank")
+    m.add_argument("--bound", type=int, default=DEFAULT_MTAU_BOUND,
+                   help="largest rank to compute (default %(default)s)")
     m.add_argument("--format", choices=["table", "json"], default="table")
     m.set_defaults(func=cmd_mtau)
     return parser

@@ -28,16 +28,15 @@ middle (n, n) one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Hashable, Optional
 
 from .parabolic import NotSpinError, SpinParabolic
-from .ratfunc import Poly, RatFunc, ZeroDenominatorError
+from .ratfunc import Poly, RatFunc
 from .weyl import LeviCoset, Perm, Trichotomy, coset_min_rep, simple_trichotomy
 
 __all__ = [
-    "RatFunc", "Poly", "ZeroDenominatorError", "PSVector", "ParahoricVector",
-    "c_s", "T_s", "w_of_rho", "lower_block_composition", "m_tau_expansion",
-    "m_tau_expansion_oracle", "NuBetaMatrix", "nu_beta", "SupportVerdict",
+    "PSVector", "ParahoricVector", "c_s", "T_s", "w_of_rho", "lower_block_composition",
+    "m_tau_expansion", "m_tau_expansion_oracle", "NuBetaMatrix", "nu_beta", "SupportVerdict",
     "zeta_support_verdict", "factorisation_membership",
 ]
 
@@ -60,6 +59,18 @@ def c_s(a: int, twist: Perm) -> RatFunc:
     return RatFunc(p * y - x, p * (y - x))
 
 
+def _accumulate(table: dict[Hashable, RatFunc], key: Hashable, val: RatFunc) -> None:
+    """Add val to table[key], dropping the entry when the sum is zero."""
+    if key in table:
+        total = table[key] + val
+        if total.is_zero:
+            del table[key]
+        else:
+            table[key] = total
+    elif not val.is_zero:
+        table[key] = val
+
+
 @dataclass
 class PSVector:
     """Sum of cell functions f_w with rational-function coefficients.
@@ -79,16 +90,6 @@ class PSVector:
         twist = twist if twist is not None else Perm.identity(w.degree)
         return cls(twist, {w: RatFunc.const(1, w.degree + 1)})
 
-    def add_term(self, w: Perm, coeff: RatFunc) -> None:
-        if w in self.terms:
-            total = self.terms[w] + coeff
-            if total.is_zero:
-                del self.terms[w]
-            else:
-                self.terms[w] = total
-        elif not coeff.is_zero:
-            self.terms[w] = coeff
-
 
 def T_s(v: PSVector, a: int) -> PSVector:
     """Apply the intertwining operator of the simple reflection (a, a+1).
@@ -107,11 +108,11 @@ def T_s(v: PSVector, a: int) -> PSVector:
     for w, coeff in v.terms.items():
         sw = s * w
         if sw.length() > w.length():
-            out.add_term(sw, coeff * p_inv)
-            out.add_term(w, coeff * (cs - one))
+            _accumulate(out.terms, sw, coeff * p_inv)
+            _accumulate(out.terms, w, coeff * (cs - one))
         else:
-            out.add_term(sw, coeff)
-            out.add_term(w, coeff * (cs - p_inv))
+            _accumulate(out.terms, sw, coeff)
+            _accumulate(out.terms, w, coeff * (cs - p_inv))
     return out
 
 
@@ -130,7 +131,7 @@ class ParahoricVector:
         out = PSVector(self.twist, {})
         for coset, coeff in self.cosets.items():
             for w in coset.members():
-                out.add_term(w, coeff)
+                _accumulate(out.terms, w, coeff)
         return out
 
     @classmethod
@@ -182,17 +183,6 @@ def _lower_delta(kcomp: tuple[int, ...], n: int) -> frozenset[int]:
         pos += m
         delta.discard(pos)
     return frozenset(delta)
-
-
-def _accumulate(table: dict[LeviCoset, RatFunc], key: LeviCoset, val: RatFunc) -> None:
-    if key in table:
-        total = table[key] + val
-        if total.is_zero:
-            table.pop(key)
-        else:
-            table[key] = total
-    elif not val.is_zero:
-        table[key] = val
 
 
 def _long_word_factorisation(n: int, delta_k: frozenset[int]) -> list[int]:

@@ -1,22 +1,50 @@
 """Exact rational functions in p and the Satake symbols theta_1, ..., theta_2n.
 
-Polynomials are dictionaries from exponent tuples (p first, then the
-thetas) to integer coefficients.  Rational functions keep a numerator and
-denominator jointly stripped of integer content, with the denominator's
-sign pinned by its lexicographically leading monomial; no polynomial
-factorization is attempted, so equality is decided by cross-multiplying.
-Coefficients stay small at the ranks used here.
+Polynomials are dictionaries from packed monomials to integer coefficients.
+A monomial packs its exponent tuple (p first, then the thetas) into one int
+with a FIELD_BITS-wide field per variable, p in the most significant field,
+so integer order is the lexicographic order of the exponent tuples and the
+product of two monomials is the sum of their keys.  Before a product the
+keys of both factors are OR-ed together and the top bit of every field is
+tested: with every exponent below 2**(FIELD_BITS - 1) no sum can carry into
+the next field, and otherwise ExponentOverflowError is raised.  Keys are
+unpacked only for printing, evaluation and ``leading``.
+
+Rational functions keep a numerator and denominator jointly stripped of
+integer content and of common monomial factors, with the denominator's
+sign pinned by its lexicographically leading monomial.  No polynomial
+factorization is attempted, so this is not a normal form: equality holds
+at once when numerators and denominators agree term by term, and is
+otherwise decided by cross-multiplying.  Coefficients stay small at the
+ranks used here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from operator import getitem, or_
 from typing import Iterable, Mapping
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+# Bits per exponent field of a packed monomial: one byte, so that
+# int.to_bytes unpacks a monomial into its exponents.
+FIELD_BITS = 8
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+class ExponentOverflowError(ArithmeticError):
+    """An exponent does not fit its packed field, or a product could carry out of it."""
+
+
+def _field_offsets(nvars: int) -> list[int]:
+    """Bit offset of each variable's field, variable 0 (p) highest."""
+    return [FIELD_BITS * (nvars - 1 - v) for v in range(nvars)]
+
+
+def _top_bits(nvars: int) -> int:
+    """The top bit of every one of nvars fields."""
+    return ((1 << FIELD_BITS * nvars) - 1) // _FIELD_MASK << FIELD_BITS - 1
 
 
 class Poly:
@@ -26,22 +54,38 @@ class Poly:
 
     def __init__(self, nvars: int, coeffs: Mapping[tuple[int, ...], int] | None = None):
         self.nvars = nvars
-        self.coeffs: dict[tuple[int, ...], int] = {}
+        self.coeffs: dict[int, int] = {}
         if coeffs:
+            offsets = _field_offsets(nvars)
             for mono, c in coeffs.items():
                 if c:
                     if len(mono) != nvars:
                         raise ValueError("monomial arity mismatch")
-                    self.coeffs[tuple(mono)] = c
+                    if any(e < 0 for e in mono):
+                        raise ValueError("negative exponent")
+                    if any(e > _FIELD_MASK for e in mono):
+                        raise ExponentOverflowError(
+                            f"exponent above {_FIELD_MASK} in {tuple(mono)}")
+                    self.coeffs[sum(e << off for e, off in zip(mono, offsets))] = c
+
+    @classmethod
+    def _packed(cls, nvars: int, coeffs: dict[int, int]) -> "Poly":
+        """Wrap a dictionary of packed monomials with nonzero coefficients, uncopied."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.coeffs = coeffs
+        return poly
 
     @classmethod
     def const(cls, c: int, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        return cls._packed(nvars, {0: c} if c else {})
 
     @classmethod
     def var(cls, index: int, nvars: int) -> "Poly":
-        mono = tuple(1 if k == index else 0 for k in range(nvars))
-        return cls(nvars, {mono: 1})
+        return cls._packed(nvars, {1 << _field_offsets(nvars)[index]: 1})
+
+    def _unpack(self, mono: int) -> tuple[int, ...]:
+        return tuple(mono.to_bytes(self.nvars, "big"))
 
     @property
     def is_zero(self) -> bool:
@@ -56,38 +100,40 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.coeffs)
+        get = out.get
         for mono, c in other.coeffs.items():
-            out[mono] = out.get(mono, 0) + c
-            if not out[mono]:
+            c += get(mono, 0)
+            if c:
+                out[mono] = c
+            else:
                 del out[mono]
-        return Poly(self.nvars, out)
+        return Poly._packed(self.nvars, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {m: -c for m, c in self.coeffs.items()})
+        return Poly._packed(self.nvars, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[tuple[int, ...], int] = {}
+        used = reduce(or_, self.coeffs, 0) | reduce(or_, other.coeffs, 0)
+        if used & _top_bits(self.nvars):
+            raise ExponentOverflowError(
+                f"an exponent of a factor exceeds {_FIELD_MASK >> 1}, "
+                f"so the product could carry out of its {FIELD_BITS}-bit field")
+        out: dict[int, int] = {}
+        get = out.get
+        right = list(other.coeffs.items())
         for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = out.get(mono, 0) + c1 * c2
-                if not out[mono]:
-                    del out[mono]
-        return Poly(self.nvars, out)
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs.values():
-            g = _gcd(g, c)
-        return g
+            for m2, c2 in right:
+                mono = m1 + m2
+                out[mono] = get(mono, 0) + c1 * c2
+        return Poly._packed(self.nvars, {m: c for m, c in out.items() if c})
 
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Lexicographically largest monomial and its coefficient."""
         mono = max(self.coeffs)
-        return mono, self.coeffs[mono]
+        return self._unpack(mono), self.coeffs[mono]
 
     def evaluate(self, values: Iterable[Fraction]) -> Fraction:
         values = list(values)
@@ -96,29 +142,24 @@ class Poly:
         total = Fraction(0)
         for mono, c in self.coeffs.items():
             term = Fraction(c)
-            for v, e in zip(values, mono):
+            for v, e in zip(values, self._unpack(mono)):
                 term *= v ** e
             total += term
         return total
 
-    def _mono_str(self, mono: tuple[int, ...]) -> str:
-        names = ["p"] + [f"θ_{i}" for i in range(1, self.nvars)]
-        pieces = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                pieces.append(name)
-            elif e:
-                pieces.append(f"{name}^{e}")
-        return "*".join(pieces) if pieces else "1"
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        nvars = self.nvars
+        largest = max(reduce(or_, self.coeffs).to_bytes(nvars, "big"))
+        # factors[v][e]: the text of variable v to the power e, then "*"
+        factors = [["", f"{name}*"] + [f"{name}^{e}*" for e in range(2, largest + 1)]
+                   for name in ["p"] + [f"θ_{i}" for i in range(1, nvars)]]
         parts = []
         for mono in sorted(self.coeffs, reverse=True):
             c = self.coeffs[mono]
-            body = self._mono_str(mono)
-            if body == "1":
+            body = "".join(map(getitem, factors, mono.to_bytes(nvars, "big")))[:-1]
+            if not body:
                 term = str(abs(c))
             elif abs(c) == 1:
                 term = body
@@ -127,6 +168,21 @@ class Poly:
             parts.append(("- " if c < 0 else "+ ") + term)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def _common_monomial(nvars: int, monos: list[int]) -> int:
+    """The packed monomial of the least exponent of each variable over monos."""
+    shift = 0
+    for off in _field_offsets(nvars):
+        least = _FIELD_MASK
+        for m in monos:
+            e = m >> off & _FIELD_MASK
+            if e < least:
+                least = e
+                if not e:
+                    break
+        shift |= least << off
+    return shift
 
 
 class ZeroDenominatorError(ZeroDivisionError):
@@ -143,27 +199,23 @@ class RatFunc:
             raise ZeroDenominatorError("zero denominator polynomial")
         if num.nvars != den.nvars:
             raise ValueError("arity mismatch")
+        nvars = num.nvars
         if num.is_zero:
-            den = Poly.const(1, den.nvars)
+            den = Poly.const(1, nvars)
         else:
-            shift = [min(min(e[v] for e in num.coeffs), min(e[v] for e in den.coeffs))
-                     for v in range(num.nvars)]
-            if any(shift):
-                num = Poly(num.nvars, {tuple(a - s for a, s in zip(m, shift)): c
-                                       for m, c in num.coeffs.items()})
-                den = Poly(den.nvars, {tuple(a - s for a, s in zip(m, shift)): c
-                                       for m, c in den.coeffs.items()})
-            g = _gcd(num.content(), den.content())
-            if g > 1:
-                num = Poly(num.nvars, {m: c // g for m, c in num.coeffs.items()})
-                den = Poly(den.nvars, {m: c // g for m, c in den.coeffs.items()})
-            if den.leading()[1] < 0:
-                num, den = -num, -den
-            if num == den:
-                num = den = Poly.const(1, num.nvars)
-            elif num == -den:
-                num = Poly.const(-1, num.nvars)
-                den = Poly.const(1, num.nvars)
+            nc, dc = num.coeffs, den.coeffs
+            shift = _common_monomial(nvars, [*nc, *dc])
+            g = gcd(*nc.values(), *dc.values())
+            if dc[max(dc)] < 0:
+                g = -g
+            if shift or g != 1:
+                nc = {m - shift: c // g for m, c in nc.items()}
+                dc = {m - shift: c // g for m, c in dc.items()}
+            if nc == dc:
+                nc = dc = {0: 1}
+            elif nc == {m: -c for m, c in dc.items()}:
+                nc, dc = {0: -1}, {0: 1}
+            num, den = Poly._packed(nvars, nc), Poly._packed(nvars, dc)
         self.num = num
         self.den = den
 
@@ -217,6 +269,8 @@ class RatFunc:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
+        if self.num == other.num and self.den == other.den:
+            return True
         return self.num * other.den == other.num * self.den
 
     __hash__ = None  # type: ignore[assignment]
@@ -230,7 +284,7 @@ class RatFunc:
         return self.num.evaluate(values) / den
 
     def __str__(self) -> str:
-        if self.den == Poly.const(1, self.den.nvars):
+        if self.den.coeffs == {0: 1}:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 

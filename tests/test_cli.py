@@ -213,6 +213,43 @@ class TestMTau:
         code, _, err = run(capsys, "mtau", "--parabolic", "2,2", "--n", "3")
         assert code == 1 and "disagrees" in err
 
+    def test_bound_exceeded(self, capsys):
+        code, out, err = run(capsys, "mtau", "--parabolic", "1,1,1,1,1,1,1,1,1,1")
+        assert code == 2 and out == ""
+        assert err == "error: n=5 exceeds the mtau bound 4; raise the bound explicitly\n"
+
+    def test_bound_override(self, capsys):
+        code, _, _ = run(capsys, "mtau", "--parabolic", "3,3", "--bound", "2")
+        assert code == 2
+        code, out, _ = run(capsys, "mtau", "--parabolic", "5,5", "--bound", "5",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["expansion"] == {"12345": "1"}
+
+    # SHA-256 of stdout as produced with tuple-keyed monomials and equality
+    # by cross-multiplication: every spin parabolic inside (n,n) at n = 3,
+    # and the Borel at n = 4.  The output must not change.
+    PINNED = {
+        ("1,1,1,1,1,1", "json"): "af1fc3ac2a5b0b764d5481c8df21106032ad2a0acb1f667e9b0db71a9b0981d1",
+        ("1,1,1,1,1,1", "table"): "4af33fb724e8ef42bead1c5c0d90cb02d03d144b9670a2f3b5457f88e8b76a36",
+        ("1,2,2,1", "json"): "f192aeb0567b4027131051181f86598d67580eda0be921ad4ced2395b7a3c188",
+        ("1,2,2,1", "table"): "657c966420cb430c2e211df55e4d478e2bd1deef4b1f056aa1640d06f484fc6e",
+        ("2,1,1,2", "json"): "525e031983c444cb7f6a0eabb25aed86e55151bdc9e9c838da64618cb151535a",
+        ("2,1,1,2", "table"): "a03937697dc4644d54b5cdd1d9114f9586a035e2f9043068a134af49774dca37",
+        ("3,3", "json"): "a3075954b23ef3963cd88a84a31ba79267e2aa5c5f5c5534e3e1a4cd5efc0c39",
+        ("3,3", "table"): "dc040f4d0603fe66f7298ad1cb4ba03ade84fe7bdf12c112530409f9890d4164",
+        ("1,1,1,1,1,1,1,1", "json"):
+            "77890f3411209aa79495c3b6ae3e810c082f8c3f8ca0bd676f7778febecf4af7",
+        ("1,1,1,1,1,1,1,1", "table"):
+            "b669be2a0534f50f4efb5793655084ed10c99c9f695698bc4cdc90fececf1616",
+    }
+
+    @pytest.mark.parametrize("comp,fmt", sorted(PINNED))
+    def test_pinned_digest(self, capsys, comp, fmt):
+        code, out, _ = run(capsys, "mtau", "--parabolic", comp, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[comp, fmt]
+
 
 class TestZeta:
     def test_22(self, capsys):

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from spinref.intertwine import (ParahoricVector, PSVector, Poly, RatFunc,
-                                T_s, ZeroDenominatorError, c_s, factorisation_membership,
-                                lower_block_composition, m_tau_expansion,
-                                m_tau_expansion_oracle, nu_beta, w_of_rho,
+from spinref.intertwine import (ParahoricVector, PSVector, T_s, c_s,
+                                factorisation_membership, lower_block_composition,
+                                m_tau_expansion, m_tau_expansion_oracle, nu_beta, w_of_rho,
                                 zeta_support_verdict)
 from spinref.parabolic import NotSpinError, SpinParabolic, all_spin_parabolics
+from spinref.ratfunc import Poly, RatFunc, ZeroDenominatorError
 from spinref.weyl import LeviCoset, Perm, Trichotomy, simple_trichotomy
 
 
@@ -207,6 +207,15 @@ class TestMTau:
         p = SpinParabolic.from_composition(comp)
         expansion, _ = m_tau_expansion(3, p)
         oracle = m_tau_expansion_oracle(3, p)
+        assert set(expansion) == set(oracle)
+        for key in expansion:
+            assert expansion[key] == oracle[key]
+
+    def test_oracle_agreement_n4_borel(self):
+        p = SpinParabolic.borel(4)
+        expansion, _ = m_tau_expansion(4, p)
+        oracle = m_tau_expansion_oracle(4, p)
+        assert len(expansion) == 24
         assert set(expansion) == set(oracle)
         for key in expansion:
             assert expansion[key] == oracle[key]
