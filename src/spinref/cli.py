@@ -13,7 +13,8 @@ Subcommands:
 
 Output is deterministic (members sorted by one-line notation) so tables
 diff cleanly.  Exit codes: 2 rank bound exceeded (classify, mtau), 3 malformed
-permutation, 4 missing slope data, 5 non-spin composition.
+permutation, 4 missing slope data, 5 non-spin composition, 6 failed internal
+self-check.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profile)
 from .intertwine import m_tau_expansion, zeta_support_verdict
-from .parabolic import NotSpinError, SpinParabolic, format_xp, parse_composition
+from .parabolic import NotSpinError, SelfCheckError, SpinParabolic, format_xp, parse_composition
 from .refine import (DEFAULT_ENUMERATION_BOUND, EnumerationBoundError, Refinement,
                      gamma, optimal_parabolic, spin_set, stratum_words, to_B_spin)
 from .rootdata import PureWeight
@@ -36,6 +37,7 @@ EXIT_BOUND = 2
 EXIT_BAD_PERM = 3
 EXIT_MISSING_DATA = 4
 EXIT_NOT_SPIN = 5
+EXIT_SELF_CHECK = 6
 
 
 class CliError(Exception):
@@ -433,6 +435,9 @@ def main(argv=None) -> int:
     except NotSpinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SPIN
+    except SelfCheckError as exc:
+        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
+        return EXIT_SELF_CHECK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .parabolic import SpinParabolic
+from .parabolic import SelfCheckError, SpinParabolic
 from .refine import GammaMap, Refinement, gamma, is_P_spin
 from .rootdata import PureWeight
 from .weyl import Perm, SignedPerm, coset_min_rep, embed_wg0, enumerate_signed_perms, \
@@ -232,7 +232,7 @@ def theta_from_ratios(r: Refinement, k: int, lam: Optional[PureWeight] = None
         norm = (SatakeMonomial.p_half_power(2 * n - 2 * k + 1 - 2 * lam.coeffs[k - 1], n)
                 * alpha_U_circ(r, k, lam) / alpha_U_circ(r, k - 1, lam))
         if norm != raw:
-            raise AssertionError("raw and normalized theta recoveries disagree")
+            raise SelfCheckError("raw and normalized theta recoveries disagree")
     return raw
 
 
@@ -255,27 +255,20 @@ def gamma_relation_holds(r: Refinement, g: GammaMap, s: int,
     reduce to eta.  With a weight, the same relation in normalized
     eigenvalues picks up p^{lambda_{g(i)} - lambda_i} per factor and ends
     in eta_0^s.  (The p-exponent on the product factor is half-integral;
-    the theta-recovery identity carries the same half.)
+    the theta-recovery identity carries the same half.)  The raw form is
+    the normalized one at the zero weight, where U° is U and eta_0 is eta.
     """
     n = r.n
     if lam is None:
-        lhs = alpha_U(r, s)
-        for i in range(1, s + 1):
-            gi = g(i)
-            lhs = lhs * SatakeMonomial.p_half_power(2 * gi - 2 * n - 1, n)
-            lhs = lhs * alpha_U(r, 2 * n + 1 - gi) / alpha_U(r, 2 * n - gi)
-        rhs = SatakeMonomial.p_half_power(delta_half_exponent(s, n), n) * \
-            SatakeMonomial.eta_power(s, n)
-    else:
-        lhs = alpha_U_circ(r, s, lam)
-        for i in range(1, s + 1):
-            gi = g(i)
-            lhs = lhs * SatakeMonomial.p_half_power(
-                2 * gi - 2 * n - 1 + 2 * (lam.coeffs[gi - 1] - lam.coeffs[i - 1]), n)
-            lhs = lhs * alpha_U_circ(r, 2 * n + 1 - gi, lam) / \
-                alpha_U_circ(r, 2 * n - gi, lam)
-        rhs = SatakeMonomial.p_half_power(delta_half_exponent(s, n), n) * \
-            SatakeMonomial.eta0_power(s, lam.sw, n)
+        lam = PureWeight.from_coeffs((0,) * (2 * n))
+    lhs = alpha_U_circ(r, s, lam)
+    for i in range(1, s + 1):
+        gi = g(i)
+        lhs = lhs * SatakeMonomial.p_half_power(
+            2 * gi - 2 * n - 1 + 2 * (lam.coeffs[gi - 1] - lam.coeffs[i - 1]), n)
+        lhs = lhs * alpha_U_circ(r, 2 * n + 1 - gi, lam) / alpha_U_circ(r, 2 * n - gi, lam)
+    rhs = SatakeMonomial.p_half_power(delta_half_exponent(s, n), n) * \
+        SatakeMonomial.eta0_power(s, lam.sw, n)
     return lhs.spin_equal(rhs)
 
 
@@ -336,7 +329,7 @@ def gamma_uniqueness_scan(r: Refinement, prof: Optional[ValuationProfile] = None
         raise GammaScanAmbiguous([GammaMap(v) for v in found])
     result = GammaMap(found[0])
     if prof is None and result != gamma(r):
-        raise AssertionError("scan disagrees with the direct pairing construction")
+        raise SelfCheckError("scan disagrees with the direct pairing construction")
     return result
 
 
@@ -346,59 +339,49 @@ def gamma_uniqueness_scan(r: Refinement, prof: Optional[ValuationProfile] = None
 
 @dataclass(frozen=True)
 class HeckeWord:
-    """Formal product of GL generators U_{p,k} with integer exponents."""
+    """p^{p_half/2} * prod U_k^{exps[k-1]} * V^v, with negative exponents allowed.
+
+    On the GL side U_k is U_{p,k} (or its normalization U°_{p,k}) and v = 0;
+    on the GSpin side slots 1..n hold U'_{p,k} and v counts the similitude
+    generator V.
+    """
 
     n: int
-    exps: tuple[tuple[int, int], ...]  # sorted (k, exponent), exponent != 0
+    exps: tuple[int, ...]
+    p_half: int = 0
+    v: int = 0
 
-    @classmethod
-    def one(cls, n: int) -> "HeckeWord":
-        return cls(n, ())
+    def __post_init__(self) -> None:
+        if len(self.exps) != 2 * self.n:
+            raise ValueError("exponent vector must have length 2n")
 
     @classmethod
     def generator(cls, k: int, n: int, power: int = 1) -> "HeckeWord":
-        if not (1 <= k <= 2 * n):
-            raise ValueError(f"generator index {k} outside 1..{2 * n}")
-        return cls(n, ((k, power),)) if power else cls.one(n)
+        """U_k^power; k = 0 is the empty product."""
+        if not (0 <= k <= 2 * n):
+            raise ValueError(f"index {k} outside 0..{2 * n}")
+        exps = [0] * (2 * n)
+        if k:
+            exps[k - 1] = power
+        return cls(n, tuple(exps))
 
     def __mul__(self, other: "HeckeWord") -> "HeckeWord":
-        acc: dict[int, int] = dict(self.exps)
-        for k, e in other.exps:
-            acc[k] = acc.get(k, 0) + e
-            if not acc[k]:
-                del acc[k]
-        return HeckeWord(self.n, tuple(sorted(acc.items())))
+        if self.n != other.n:
+            raise ValueError("rank mismatch")
+        return HeckeWord(self.n, tuple(a + b for a, b in zip(self.exps, other.exps)),
+                         self.p_half + other.p_half, self.v + other.v)
+
+    def evaluate(self, r: Refinement, lam: PureWeight) -> SatakeMonomial:
+        """Normalized eigenvalue on r: U_k acts by alpha(U°_{p,k}), V by eta_0."""
+        out = (SatakeMonomial.p_half_power(self.p_half, self.n)
+               * SatakeMonomial.eta0_power(self.v, lam.sw, self.n))
+        for k, e in enumerate(self.exps, start=1):
+            if e:
+                out = out * alpha_U_circ(r, k, lam) ** e
+        return out
 
 
-@dataclass(frozen=True)
-class GSpinHeckeWord:
-    """Formal product of GSpin generators: u_exps for the U's, v_exp for the similitude."""
-
-    n: int
-    u_exps: tuple[tuple[int, int], ...]
-    v_exp: int = 0
-
-    @classmethod
-    def one(cls, n: int) -> "GSpinHeckeWord":
-        return cls(n, ())
-
-    @classmethod
-    def u_generator(cls, k: int, n: int, power: int = 1) -> "GSpinHeckeWord":
-        if not (1 <= k <= n):
-            raise ValueError(f"GSpin generator index {k} outside 1..{n}")
-        return cls(n, ((k, power),)) if power else cls.one(n)
-
-    @classmethod
-    def v_generator(cls, n: int, power: int = 1) -> "GSpinHeckeWord":
-        return cls(n, (), power)
-
-    def __mul__(self, other: "GSpinHeckeWord") -> "GSpinHeckeWord":
-        acc: dict[int, int] = dict(self.u_exps)
-        for k, e in other.u_exps:
-            acc[k] = acc.get(k, 0) + e
-            if not acc[k]:
-                del acc[k]
-        return GSpinHeckeWord(self.n, tuple(sorted(acc.items())), self.v_exp + other.v_exp)
+FracHeckeWord = HeckeWord
 
 
 class GeneratorNotInAlgebraError(ValueError):
@@ -414,7 +397,7 @@ def _check_in_parahoric_algebra(k: int, p: SpinParabolic) -> None:
             f"U_{{p,{k}}} is not in the level-{p.label()} Hecke algebra")
 
 
-def jmath_hecke(word: HeckeWord, p: SpinParabolic) -> GSpinHeckeWord:
+def jmath_hecke(word: HeckeWord, p: SpinParabolic) -> HeckeWord:
     """Transfer a GL Hecke word to the GSpin side.
 
     U_{p,r} -> U'_{p,r} and U_{p,2n-r} -> U'_{p,r} V^{n-r} for r <= n with
@@ -422,18 +405,22 @@ def jmath_hecke(word: HeckeWord, p: SpinParabolic) -> GSpinHeckeWord:
     """
     p.require_spin()
     n = p.n
-    out = GSpinHeckeWord.one(n)
-    for k, e in word.exps:
+    if word.n != n or word.v:
+        raise ValueError(f"jmath_hecke takes a rank-{n} GL word, without a similitude factor")
+    exps = [0] * (2 * n)
+    v = 0
+    for k, e in enumerate(word.exps, start=1):
+        if not e:
+            continue
         _check_in_parahoric_algebra(k, p)
         if k == 2 * n:
-            out = out * GSpinHeckeWord.v_generator(n, n * e)
+            v += n * e
         elif k <= n:
-            out = out * GSpinHeckeWord.u_generator(k, n, e)
+            exps[k - 1] += e
         else:
-            rr = 2 * n - k
-            out = out * GSpinHeckeWord.u_generator(rr, n, e) \
-                      * GSpinHeckeWord.v_generator(n, (n - rr) * e)
-    return out
+            exps[2 * n - k - 1] += e
+            v += (k - n) * e
+    return HeckeWord(n, tuple(exps), word.p_half, v)
 
 
 @dataclass(frozen=True)
@@ -444,12 +431,13 @@ class SpinEigenvalueAssignment:
     u_values: tuple[tuple[int, SatakeMonomial], ...]
     v_value: SatakeMonomial
 
-    def value(self, word: GSpinHeckeWord) -> SatakeMonomial:
-        out = SatakeMonomial.one(self.n)
+    def value(self, word: HeckeWord) -> SatakeMonomial:
+        out = SatakeMonomial.p_half_power(word.p_half, self.n)
         values = dict(self.u_values)
-        for k, e in word.u_exps:
-            out = out * values[k] ** e
-        return (out * self.v_value ** word.v_exp).normal_form()
+        for k, e in enumerate(word.exps, start=1):
+            if e:
+                out = out * values[k] ** e
+        return (out * self.v_value ** word.v).normal_form()
 
 
 def factors_through_spin(r: Refinement, p: SpinParabolic
@@ -467,12 +455,12 @@ def factors_through_spin(r: Refinement, p: SpinParabolic
     n = r.n
     u_values = tuple((k, alpha_U(r, k).normal_form()) for k in sorted(p.xp))
     assignment = SpinEigenvalueAssignment(n, u_values, SatakeMonomial.eta_power(1, n))
-    for k in list(range(1, 2 * n)) + [2 * n]:
+    for k in range(1, 2 * n + 1):
         if k != 2 * n and k in p.delta:
             continue
         word = HeckeWord.generator(k, n)
         if not assignment.value(jmath_hecke(word, p)).spin_equal(alpha_U(r, k)):
-            raise AssertionError(f"transfer check failed at U_{{p,{k}}}")
+            raise SelfCheckError(f"transfer check failed at U_{{p,{k}}}")
     return assignment
 
 
@@ -746,36 +734,7 @@ def reducibility_regularity_flags(alphas: Mapping[int, SatakeMonomial], lam: Pur
 # The eigenvalue transfer maps phi for refinement switching.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FracHeckeWord:
-    """p^{p_half/2} * prod (U°_{p,k})^{e_k}, with negative exponents allowed."""
-
-    n: int
-    p_half: int
-    exps: tuple[int, ...]  # index k-1 holds the exponent of U°_{p,k}
-
-    @classmethod
-    def generator(cls, k: int, n: int) -> "FracHeckeWord":
-        if not (0 <= k <= 2 * n):
-            raise ValueError(f"index {k} outside 0..{2 * n}")
-        exps = [0] * (2 * n)
-        if k:
-            exps[k - 1] = 1
-        return cls(n, 0, tuple(exps))
-
-    def __mul__(self, other: "FracHeckeWord") -> "FracHeckeWord":
-        return FracHeckeWord(self.n, self.p_half + other.p_half,
-                             tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def evaluate(self, r: Refinement, lam: PureWeight) -> SatakeMonomial:
-        out = SatakeMonomial.p_half_power(self.p_half, self.n)
-        for k, e in enumerate(self.exps, start=1):
-            if e:
-                out = out * alpha_U_circ(r, k, lam) ** e
-        return out
-
-
-def phi_ij(word: FracHeckeWord, i: int, j: int, lam: PureWeight) -> FracHeckeWord:
+def phi_ij(word: HeckeWord, i: int, j: int, lam: PureWeight) -> HeckeWord:
     """Eigenvalue transfer across the transposition (i, j), i < j.
 
     Each U°_{p,k} with i <= k < j picks up the window factor
@@ -796,12 +755,12 @@ def phi_ij(word: FracHeckeWord, i: int, j: int, lam: PureWeight) -> FracHeckeWor
     if i - 1 >= 1:
         exps[i - 2] += window_exp
     exps[i - 1] -= window_exp
-    return FracHeckeWord(word.n, p_half, tuple(exps))
+    return HeckeWord(word.n, tuple(exps), p_half, word.v)
 
 
 def phi_tau(taus: Sequence[tuple[int, int]], lam: PureWeight):
     """Composite of the window maps, first transposition applied first."""
-    def apply(word: FracHeckeWord) -> FracHeckeWord:
+    def apply(word: HeckeWord) -> HeckeWord:
         for i, j in taus:
             word = phi_ij(word, i, j, lam)
         return word

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-from .parabolic import NotSpinError, SpinParabolic
+from .parabolic import NotSpinError, SelfCheckError, SpinParabolic
 from .ratfunc import Poly, RatFunc
 from .weyl import LeviCoset, Perm, Trichotomy, coset_min_rep, simple_trichotomy
 
@@ -200,7 +200,7 @@ def _long_word_factorisation(n: int, delta_k: frozenset[int]) -> list[int]:
     x = m.inverse() * w_n
     word = m.reduced_word() + x.reduced_word()
     if Perm.from_word(word, n) != w_n or len(word) != w_n.length():
-        raise AssertionError("long-element factorisation is not reduced")
+        raise SelfCheckError("long-element factorisation is not reduced")
     return word
 
 
@@ -256,7 +256,7 @@ def m_tau_expansion(n: int, p: SpinParabolic
     identity_coset = LeviCoset.of(Perm.identity(n), delta_k)
     prenorm = state.get(identity_coset, RatFunc.zero(nvars))
     if prenorm.is_zero:
-        raise AssertionError("identity-coset coefficient vanished")
+        raise SelfCheckError("identity-coset coefficient vanished")
     normalized = {coset: coeff / prenorm for coset, coeff in state.items()}
     return normalized, prenorm
 
@@ -363,7 +363,7 @@ def zeta_support_verdict(p: SpinParabolic, beta: int) -> SupportVerdict:
     # sanity: for spin parabolics the swapped form p^{-beta k} w_n z1^2 agrees
     alt = tuple(2 * z1[n - i] - beta * k for i in range(1, n + 1))
     if alt != matrix.exponents:
-        raise AssertionError("staircase symmetry violated for a spin parabolic")
+        raise SelfCheckError("staircase symmetry violated for a spin parabolic")
     return SupportVerdict(
         integral=matrix.integral,
         block_count_parity="even" if k % 2 == 0 else "odd",

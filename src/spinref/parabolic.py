@@ -25,6 +25,10 @@ class NotSpinError(ValueError):
     """Raised when a spin-only operation meets a non-spin parabolic."""
 
 
+class SelfCheckError(RuntimeError):
+    """An internal self-check failed: the computation, not the input, is at fault."""
+
+
 @dataclass(frozen=True)
 class SpinParabolic:
     """Standard parabolic of GL(2n), tagged with its spin data when spin.

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-from .parabolic import SpinParabolic, all_spin_parabolics
+from .parabolic import SelfCheckError, SpinParabolic, all_spin_parabolics
 from .weyl import (LeviCoset, Perm, coset_min_rep, enumerate_wg0, format_one_line,
                    parse_one_line)
 
@@ -243,7 +243,7 @@ def stratum_counts(n: int) -> dict[frozenset[int], int]:
             for x in subsets}
 
 
-class StratumCountError(RuntimeError):
+class StratumCountError(SelfCheckError):
     """An enumerated stratum's size differs from its closed-form count."""
 
 
@@ -334,7 +334,7 @@ def parahoric_is_spin(pr: ParahoricRefinement) -> bool:
     return is_P_spin(Refinement(pr.n, pr.coset.rep), pr.parabolic)
 
 
-class SwitchingInvariantError(RuntimeError):
+class SwitchingInvariantError(SelfCheckError):
     """The located transposition fell outside its guaranteed window."""
 
 

@@ -408,6 +408,17 @@ def _act_perm_char(p: Perm, coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return (coeffs[0],) + tuple(coeffs[p(i)] for i in range(1, len(coeffs)))
 
 
+def _act_signed(w: SignedPerm, x, flip_sign, kind: str):
+    """Apply w's sign flips with the rule flip_sign, then its permutation."""
+    if w.n != x.n:
+        raise RankMismatchError(f"rank mismatch: element has n={w.n}, {kind} n={x.n}")
+    coeffs = x.coeffs
+    for i in range(1, w.n + 1):
+        if w.signs[i - 1] == -1:
+            coeffs = flip_sign(i, coeffs)
+    return type(x)(x.n, _act_perm_char(w.perm, coeffs))
+
+
 def gspin_weyl_act(w: SignedPerm, chi: GSpinCharacter) -> GSpinCharacter:
     """Right action chi^w on GSpin characters.
 
@@ -416,14 +427,7 @@ def gspin_weyl_act(w: SignedPerm, chi: GSpinCharacter) -> GSpinCharacter:
     arranged so that transfer to GL intertwines this with the index action
     there: j(chi^w) = j(chi)^{embed(w)}.
     """
-    if w.n != chi.n:
-        raise RankMismatchError(f"rank mismatch: element has n={w.n}, character n={chi.n}")
-    coeffs = chi.coeffs
-    for i in range(1, w.n + 1):
-        if w.signs[i - 1] == -1:
-            coeffs = _act_sign_char(i, coeffs)
-    coeffs = _act_perm_char(w.perm, coeffs)
-    return GSpinCharacter(chi.n, coeffs)
+    return _act_signed(w, chi, _act_sign_char, "character")
 
 
 def _act_sign_cochar(i: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -436,11 +440,4 @@ def _act_sign_cochar(i: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 def gspin_weyl_act_cochar(w: SignedPerm, nu: GSpinCocharacter) -> GSpinCocharacter:
     """Right action nu^w on GSpin cocharacters (dual to gspin_weyl_act)."""
-    if w.n != nu.n:
-        raise RankMismatchError(f"rank mismatch: element has n={w.n}, cocharacter n={nu.n}")
-    coeffs = nu.coeffs
-    for i in range(1, w.n + 1):
-        if w.signs[i - 1] == -1:
-            coeffs = _act_sign_cochar(i, coeffs)
-    coeffs = _act_perm_char(w.perm, coeffs)
-    return GSpinCocharacter(nu.n, coeffs)
+    return _act_signed(w, nu, _act_sign_cochar, "cocharacter")

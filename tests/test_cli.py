@@ -1,15 +1,19 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from spinref import cli
+from spinref import cli, intertwine, refine
 from spinref.cli import main, parse_refinement_report, refinement_report
 from spinref.weyl import Perm, format_one_line
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -274,3 +278,46 @@ class TestZeta:
     def test_beta_validated(self, capsys):
         code, _, err = run(capsys, "zeta", "--parabolic", "2,2", "--beta", "0")
         assert code == 1 and "positive" in err
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestSelfCheckFailure:
+    def test_info_switching_check(self, capsys, monkeypatch):
+        # the switching step re-tests its result for the repaired spin index
+        monkeypatch.setattr(refine, "is_r_spin", lambda r, k: False)
+        code, out, err = run(capsys, "info", "--sigma", "2134")
+        assert code == 6 and out == ""
+        assert_one_error_line(err)
+        assert "self-check failed: switch failed" in err
+
+    def test_mtau_identity_coefficient_check(self, capsys, monkeypatch):
+        # with every intertwining constant zero, the identity coset's
+        # coefficient vanishes
+        real = intertwine.c_s
+        monkeypatch.setattr(intertwine, "c_s",
+                            lambda a, twist: real(a, twist) - real(a, twist))
+        code, out, err = run(capsys, "mtau", "--parabolic", "2,2")
+        assert code == 6 and out == ""
+        assert_one_error_line(err)
+        assert "identity-coset coefficient vanished" in err
+
+
+class TestEntryPoint:
+    def spinref(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "spinref", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_zeta(self):
+        proc = self.spinref("zeta", "--parabolic", "1,2,1")
+        assert proc.returncode == 0 and "verdict: forced vanishing" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_malformed_permutation(self):
+        proc = self.spinref("info", "--sigma", "1135")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert_one_error_line(proc.stderr)

@@ -229,19 +229,109 @@ class TestGammaScan:
 class TestJmathHecke:
     def test_rules(self):
         q = SpinParabolic.from_composition((2, 2))
-        assert jmath_hecke(HeckeWord.generator(2, 2), q).u_exps == ((2, 1),)
-        assert jmath_hecke(HeckeWord.generator(4, 2), q).v_exp == 2
+        assert jmath_hecke(HeckeWord.generator(2, 2), q).exps == (0, 1, 0, 0)
+        assert jmath_hecke(HeckeWord.generator(4, 2), q).v == 2
 
     def test_product_rule(self):
         b = SpinParabolic.borel(2)
         w = HeckeWord.generator(1, 2) * HeckeWord.generator(3, 2)
         out = jmath_hecke(w, b)
-        assert out.u_exps == ((1, 2),) and out.v_exp == 1
+        assert out.exps == (2, 0, 0, 0) and out.v == 1
 
     def test_rejects_levi_generator(self):
         q = SpinParabolic.from_composition((2, 2))
         with pytest.raises(GeneratorNotInAlgebraError):
             jmath_hecke(HeckeWord.generator(1, 2), q)
+
+
+def word_generators(n):
+    """Every U_k^e for k in 0..2n and e in {-1, 1, 2}, plus a bare p^{1/2}."""
+    gens = [HeckeWord.generator(k, n, e) for k in range(2 * n + 1) for e in (-1, 1, 2)]
+    return gens + [HeckeWord(n, (0,) * (2 * n), p_half=1)]
+
+
+def sample_refinements(n):
+    """All refinements for n <= 2; for n = 3 a seeded sample and its B-spin targets."""
+    if n <= 2:
+        return list(all_refinements(n))
+    rng = random.Random(53)
+    sample = [Refinement(n, Perm(tuple(rng.sample(range(1, 2 * n + 1), 2 * n))))
+              for _ in range(40)]
+    return sample + [to_B_spin(r)[1] for r in sample]
+
+
+class TestHeckeWord:
+    def test_generator_range(self):
+        assert HeckeWord.generator(0, 2) == HeckeWord(2, (0, 0, 0, 0))
+        assert HeckeWord.generator(4, 2, -3) == HeckeWord(2, (0, 0, 0, -3))
+        for k in (-1, 5):
+            with pytest.raises(ValueError, match="outside 0..4"):
+                HeckeWord.generator(k, 2)
+
+    def test_exponent_vector_length(self):
+        with pytest.raises(ValueError):
+            HeckeWord(2, (1, 0, 0))
+
+    def test_rank_mismatch(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            HeckeWord.generator(1, 2) * HeckeWord.generator(1, 3)
+
+    def test_frac_alias(self):
+        assert FracHeckeWord is HeckeWord
+
+    def test_jmath_rejects_non_gl_word(self):
+        for word in (HeckeWord(2, (0, 0, 0, 0), v=1), HeckeWord.generator(1, 3)):
+            with pytest.raises(ValueError, match="rank-2 GL word"):
+                jmath_hecke(word, SpinParabolic.borel(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_jmath_multiplicative(self, n):
+        gens = word_generators(n)
+        for p in all_spin_parabolics(n):
+            inside = [a for a in gens
+                      if not any(a.exps[k - 1] for k in p.delta if k < 2 * n)]
+            for a in inside:
+                for b in inside:
+                    assert jmath_hecke(a * b, p) == jmath_hecke(a, p) * jmath_hecke(b, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_phi_multiplicative(self, n):
+        lam = generic_pure_weight(n)
+        gens = word_generators(n)
+        for i, j in itertools.combinations(range(1, 2 * n + 1), 2):
+            for a in gens:
+                for b in gens:
+                    assert phi_ij(a * b, i, j, lam) == \
+                        phi_ij(a, i, j, lam) * phi_ij(b, i, j, lam)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_assignment_value_multiplicative(self, n):
+        similitude = [HeckeWord(n, (0,) * (2 * n), v=e) for e in (-1, 1)]
+        for p in all_spin_parabolics(n):
+            words = [HeckeWord.generator(k, n, e) for k in sorted(p.xp) for e in (-1, 1, 2)]
+            words += similitude
+            for r in sample_refinements(n):
+                assignment = factors_through_spin(r, p)
+                if assignment is None:
+                    continue
+                for x in words:
+                    for y in words:
+                        assert assignment.value(x * y).spin_equal(
+                            assignment.value(x) * assignment.value(y))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_transfer_keeps_normalized_eigenvalues(self, n):
+        # on a P-spin refinement the transferred word, with U'_{p,r} acting
+        # by alpha(U°_{p,r}) and V by eta_0, has the GL word's eigenvalue
+        lam = generic_pure_weight(n)
+        for p in all_spin_parabolics(n):
+            gens = [HeckeWord.generator(k, n) for k in range(2 * n + 1)
+                    if not 0 < k < 2 * n or k not in p.delta]
+            for r in sample_refinements(n):
+                if not is_P_spin(r, p):
+                    continue
+                for a in gens:
+                    assert jmath_hecke(a, p).evaluate(r, lam).spin_equal(a.evaluate(r, lam))
 
 
 class TestFactorsThroughSpin:
