@@ -12,9 +12,9 @@ Subcommands:
   coefficients.
 
 Output is deterministic (members sorted by one-line notation) so tables
-diff cleanly.  Exit codes: 2 rank bound exceeded (classify, mtau), 3 malformed
-permutation, 4 missing slope data, 5 non-spin composition, 6 failed internal
-self-check.
+diff cleanly.  Exit codes: 1 other usage errors (bad arguments included),
+2 rank bound exceeded (classify, mtau), 3 malformed permutation, 4 missing
+slope data, 5 non-spin composition, 6 failed internal self-check.
 """
 
 from __future__ import annotations
@@ -380,8 +380,19 @@ def cmd_mtau(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as CliError (exit 1), not argparse's exit 2.
+
+    Exit 2 is the code for an exceeded rank bound.  Subparsers are built
+    from this class too.
+    """
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spinref",
         description="Spin stratification of p-refinements of GL(2n)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -425,9 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -172,11 +172,6 @@ class ValuationProfile:
         return all(self.t[i] + self.t[2 * self.n - 1 - i] == self.eta_val
                    for i in range(self.n))
 
-    @property
-    def eta0_val(self) -> Fraction:
-        """v_p(eta_0(p)) under eta = eta_0 p^{-sw}."""
-        return self.eta_val + self.sw
-
 
 # ---------------------------------------------------------------------------
 # Eigenvalue monomials of the U_{p,k}.
@@ -589,13 +584,18 @@ def _eliminate(rows: list[tuple[list[Fraction], Fraction, str]], num_vars: int):
     return pivots, bad
 
 
-def _slope_rows(slopes: Mapping[int, Fraction | int], lam: PureWeight, sigma: Perm,
-                tag: str) -> list[tuple[list[Fraction], Fraction, str]]:
-    n = lam.n
-    rows = []
+def _check_slope_indices(slopes: Mapping[int, Fraction | int], n: int) -> None:
     for k in sorted(slopes):
         if not (1 <= k <= 2 * n):
             raise ValueError(f"slope index {k} outside 1..{2 * n}")
+
+
+def _slope_rows(slopes: Mapping[int, Fraction | int], lam: PureWeight, sigma: Perm,
+                tag: str) -> list[tuple[list[Fraction], Fraction, str]]:
+    n = lam.n
+    _check_slope_indices(slopes, n)
+    rows = []
+    for k in sorted(slopes):
         coeffs = [Fraction(0)] * (2 * n + 1)
         for j in range(1, k + 1):
             coeffs[sigma(j) - 1] += 1
@@ -605,7 +605,7 @@ def _slope_rows(slopes: Mapping[int, Fraction | int], lam: PureWeight, sigma: Pe
 
 
 def solve_profile_joint(systems: Sequence[tuple[Perm, Mapping[int, Fraction | int]]],
-                        lam: PureWeight, include_purity: bool = True) -> ProfileSolution:
+                        lam: PureWeight) -> ProfileSolution:
     """Solve declared slopes, possibly from several refinements at once.
 
     Unknowns are t_1, ..., t_{2n} and the eta valuation.  Each declared
@@ -620,13 +620,12 @@ def solve_profile_joint(systems: Sequence[tuple[Perm, Mapping[int, Fraction | in
     for sigma, slopes in systems:
         tag = f"[{''.join(map(str, sigma.images))}]" if len(systems) > 1 else ""
         rows.extend(_slope_rows(slopes, lam, sigma, tag))
-    if include_purity:
-        for i in range(1, n + 1):
-            coeffs = [Fraction(0)] * num_vars
-            coeffs[i - 1] += 1
-            coeffs[2 * n - i] += 1
-            coeffs[2 * n] -= 1
-            rows.append((coeffs, Fraction(0), f"purity:{i}"))
+    for i in range(1, n + 1):
+        coeffs = [Fraction(0)] * num_vars
+        coeffs[i - 1] += 1
+        coeffs[2 * n - i] += 1
+        coeffs[2 * n] -= 1
+        rows.append((coeffs, Fraction(0), f"purity:{i}"))
     pivots, bad = _eliminate(rows, num_vars)
     if bad:
         return ProfileSolution("inconsistent", None, certificate=tuple(bad))
@@ -643,10 +642,10 @@ def solve_profile_joint(systems: Sequence[tuple[Perm, Mapping[int, Fraction | in
     return ProfileSolution("family" if free else "unique", profile, free=free)
 
 
-def solve_profile(slopes: Mapping[int, Fraction | int], lam: PureWeight, sigma: Perm,
-                  include_purity: bool = True) -> ProfileSolution:
+def solve_profile(slopes: Mapping[int, Fraction | int], lam: PureWeight, sigma: Perm
+                  ) -> ProfileSolution:
     """Single-refinement form of solve_profile_joint."""
-    return solve_profile_joint([(sigma, slopes)], lam, include_purity)
+    return solve_profile_joint([(sigma, slopes)], lam)
 
 
 class MissingSlopeError(ValueError):
@@ -674,9 +673,11 @@ def non_critical_slope(lam: PureWeight, slopes: Mapping[int, Fraction | int],
     The bound at index r is lambda_r - lambda_{r+1} + 1; purity makes the
     bounds at r and 2n-r agree.  A missing declared slope at a required
     index is an error, and equality at the bound fails (strict inequality).
+    A declared index outside 1..2n is refused with ValueError.
     """
     if lam.n != p.n:
         raise ValueError("rank mismatch")
+    _check_slope_indices(slopes, lam.n)
     rows = []
     for r in range(1, 2 * lam.n):
         if r in p.delta:

@@ -32,7 +32,8 @@ from typing import Hashable, Optional
 
 from .parabolic import NotSpinError, SelfCheckError, SpinParabolic
 from .ratfunc import Poly, RatFunc
-from .weyl import LeviCoset, Perm, Trichotomy, coset_min_rep, simple_trichotomy
+from .weyl import (LeviCoset, Perm, Trichotomy, composition_delta, coset_min_rep,
+                   simple_trichotomy)
 
 __all__ = [
     "PSVector", "ParahoricVector", "c_s", "T_s", "w_of_rho", "lower_block_composition",
@@ -165,24 +166,8 @@ def lower_block_composition(p: SpinParabolic) -> tuple[int, ...]:
     if not p.contained_in_nn:
         raise NotSpinError(
             f"the {p.label()}-parabolic is not contained in the (n,n)-parabolic")
-    comp = p.composition
-    half: list[int] = []
-    total = 0
-    for m in comp:
-        half.append(m)
-        total += m
-        if total == p.n:
-            break
-    return tuple(half)
-
-
-def _lower_delta(kcomp: tuple[int, ...], n: int) -> frozenset[int]:
-    delta = set(range(1, n))
-    pos = 0
-    for m in kcomp[:-1]:
-        pos += m
-        delta.discard(pos)
-    return frozenset(delta)
+    # A palindromic composition with a cut at n has as many blocks on each side.
+    return p.composition[:len(p.composition) // 2]
 
 
 def _long_word_factorisation(n: int, delta_k: frozenset[int]) -> list[int]:
@@ -221,8 +206,7 @@ def m_tau_expansion(n: int, p: SpinParabolic
     """
     if p.n != n:
         raise ValueError("rank mismatch")
-    kcomp = lower_block_composition(p)
-    delta_k = _lower_delta(kcomp, n)
+    delta_k = composition_delta(lower_block_composition(p))
     N = 2 * n
     nvars = N + 1
     word = _long_word_factorisation(n, delta_k)
@@ -238,8 +222,7 @@ def m_tau_expansion(n: int, p: SpinParabolic
         s_lower = Perm.simple(letter, n)
         next_state: dict[LeviCoset, RatFunc] = {}
         for coset, coeff in state.items():
-            gl_coset = LeviCoset.of(w_of_rho(coset.rep), p.delta)
-            verdict = simple_trichotomy(a, gl_coset)
+            verdict = simple_trichotomy(letter, coset)
             if verdict is Trichotomy.PERMUTES:
                 _accumulate(next_state, coset, coeff * cs)
                 continue
@@ -271,8 +254,7 @@ def m_tau_expansion_oracle(n: int, p: SpinParabolic) -> dict[LeviCoset, RatFunc]
     """
     if p.n != n:
         raise ValueError("rank mismatch")
-    kcomp = lower_block_composition(p)
-    delta_k = _lower_delta(kcomp, n)
+    delta_k = composition_delta(lower_block_composition(p))
     N = 2 * n
     word = _long_word_factorisation(n, delta_k)
 
@@ -381,7 +363,6 @@ def factorisation_membership(delta: Perm, p: SpinParabolic) -> bool:
     n = delta.degree
     if p.n != n:
         raise ValueError("rank mismatch")
-    kcomp = lower_block_composition(p)
-    delta_k = _lower_delta(kcomp, n)
+    delta_k = composition_delta(lower_block_composition(p))
     product = delta * Perm.longest(n)
     return coset_min_rep(product, delta_k) == Perm.identity(n)

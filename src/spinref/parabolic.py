@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .rootdata import GLCocharacter, PureWeight
-from .weyl import LeviCoset, Perm
+from .weyl import composition_delta, position_blocks
 
 
 class NotSpinError(ValueError):
@@ -53,14 +53,8 @@ class SpinParabolic:
             raise ValueError("rank must be >= 1")
         if any(not (1 <= i <= N - 1) for i in self.delta):
             raise ValueError(f"delta {set(self.delta)} not inside 1..{N - 1}")
-        comp = []
-        start = 0
-        for i in range(1, N):
-            if i not in self.delta:
-                comp.append(i - start)
-                start = i
-        comp.append(N - start)
-        object.__setattr__(self, "composition", tuple(comp))
+        object.__setattr__(self, "composition",
+                           tuple(len(b) for b in position_blocks(self.delta, N)))
         if self.is_spin:
             object.__setattr__(
                 self, "xp", frozenset(i for i in range(1, self.n + 1) if i not in self.delta))
@@ -87,13 +81,7 @@ class SpinParabolic:
         total = sum(parts)
         if total % 2 != 0:
             raise ValueError(f"composition must sum to an even number, got {total}")
-        n = total // 2
-        delta = set(range(1, 2 * n))
-        pos = 0
-        for m in parts[:-1]:
-            pos += m
-            delta.discard(pos)
-        p = cls(n, frozenset(delta))
+        p = cls(total // 2, composition_delta(parts))
         if require_spin and not p.is_spin:
             raise NotSpinError(f"composition {parts} is not symmetric around the middle")
         return p
@@ -153,11 +141,6 @@ class SpinParabolic:
         for height, m in zip(range(r - 1, -1, -1), self.composition):
             exps.extend([height] * m)
         return GLCocharacter(self.n, tuple(exps))
-
-    def levi_coset(self, sigma: Perm) -> LeviCoset:
-        if sigma.degree != 2 * self.n:
-            raise ValueError("degree mismatch")
-        return LeviCoset.of(sigma, self.delta)
 
     def label(self) -> str:
         if self.is_borel:

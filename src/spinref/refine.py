@@ -79,7 +79,7 @@ class ParahoricRefinement:
     def of(cls, r: Refinement, p: SpinParabolic) -> "ParahoricRefinement":
         if r.n != p.n:
             raise ValueError("rank mismatch")
-        return cls(r.n, p, p.levi_coset(r.sigma))
+        return cls(r.n, p, LeviCoset.of(r.sigma, p.delta))
 
     def extensions(self) -> list[Refinement]:
         """All Iwahori refinements lying above this parahoric one."""

@@ -297,6 +297,20 @@ def position_blocks(delta: frozenset[int] | set[int], N: int) -> list[range]:
     return blocks
 
 
+def composition_delta(parts: Iterable[int]) -> frozenset[int]:
+    """The delta whose position blocks have the lengths parts, in order.
+
+    Inverse of position_blocks: the block of length m starting at position
+    start + 1 joins positions start + 1, ..., start + m.
+    """
+    delta: set[int] = set()
+    start = 0
+    for m in parts:
+        delta.update(range(start + 1, start + m))
+        start += m
+    return frozenset(delta)
+
+
 def coset_min_rep(sigma: Perm, delta: frozenset[int] | set[int]) -> Perm:
     """Bruhat-minimal representative of the left coset sigma * W_L.
 

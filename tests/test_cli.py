@@ -194,6 +194,14 @@ class TestSlopes:
                            "--lambda", "0,1,-1,0", "--slopes", "1=0,2=0,3=0")
         assert code == 1 and "dominant" in err
 
+    @pytest.mark.parametrize("extra", [(), ("--solve",)])
+    def test_index_out_of_range(self, capsys, extra):
+        # the audit and the solve refuse the stray index alike
+        code, out, err = run(capsys, "slopes", "--sigma", "1234", "--lambda", "12,1,-1,-12",
+                             "--slopes", "1=11,2=0,3=11,9=5", *extra)
+        assert code == 1 and out == ""
+        assert err == "error: slope index 9 outside 1..4\n"
+
 
 class TestMTau:
     def test_borel_n2(self, capsys):
@@ -283,6 +291,29 @@ class TestZeta:
 def assert_one_error_line(err):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1; exit 2 is left to exceeded rank bounds."""
+
+    def test_missing_required_argument(self, capsys):
+        code, out, err = run(capsys, "classify")
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+        assert "--n" in err and "usage" not in err
+
+    def test_invalid_format_choice(self, capsys):
+        code, out, err = run(capsys, "classify", "--n", "2", "--format", "xml")
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+        assert "'xml'" in err and "usage" not in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["mtau", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
 
 
 class TestSelfCheckFailure:

@@ -239,6 +239,28 @@ class TestMTau:
             SpinParabolic.from_composition((2, 1, 1, 2))) == (2, 1)
         with pytest.raises(NotSpinError):
             lower_block_composition(SpinParabolic.from_composition((1, 4, 1)))
+        for n in range(1, 7):
+            for p in all_spin_parabolics(n):
+                if p.contained_in_nn:
+                    half = lower_block_composition(p)
+                    assert sum(half) == n
+                    assert half + half[::-1] == p.composition
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lower_block_trichotomy_matches_gl_coset(self, n):
+        # m_tau_expansion decides each step on the lower-block coset; the
+        # reference asks the same question of the GL(2n) coset of w(rho)
+        for p in all_spin_parabolics(n):
+            if not p.contained_in_nn:
+                continue
+            delta_k = _delta_of(lower_block_composition(p), n)
+            cosets = {LeviCoset.of(Perm(images), delta_k)
+                      for images in itertools.permutations(range(1, n + 1))}
+            for coset in cosets:
+                gl_coset = LeviCoset.of(w_of_rho(coset.rep), p.delta)
+                for letter in range(1, n):
+                    assert simple_trichotomy(letter, coset) is \
+                        simple_trichotomy(n + letter, gl_coset)
 
 
 class TestNuBeta:

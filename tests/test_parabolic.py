@@ -35,6 +35,18 @@ class TestConstruction:
         with pytest.raises(NotSpinError):
             pure_parabolic_dim(q)
 
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_from_composition_round_trip(self, N):
+        # every composition of N, from its set of cut points
+        for r in range(N):
+            for cuts in itertools.combinations(range(1, N), r):
+                c = tuple(b - a for a, b in zip((0,) + cuts, cuts + (N,)))
+                if N % 2:
+                    with pytest.raises(ValueError):
+                        SpinParabolic.from_composition(c, require_spin=False)
+                else:
+                    assert SpinParabolic.from_composition(c, require_spin=False).composition == c
+
     def test_from_xp(self):
         assert SpinParabolic.from_xp({1, 2}, 2).is_borel
         assert SpinParabolic.from_xp({2}, 2).composition == (2, 2)

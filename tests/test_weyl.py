@@ -6,10 +6,20 @@ import pytest
 
 from spinref.rootdata import GLCharacter, GLCocharacter, GSpinCharacter, GSpinCocharacter, \
     jmath_char, jmath_vee_cochar
-from spinref.weyl import (LeviCoset, Perm, SignedPerm, Trichotomy, coset_min_rep,
-                          embed_wg0, enumerate_signed_perms, format_one_line,
+from spinref.weyl import (LeviCoset, Perm, SignedPerm, Trichotomy, composition_delta,
+                          coset_min_rep, embed_wg0, enumerate_signed_perms, format_one_line,
                           gspin_weyl_act, gspin_weyl_act_cochar, in_wg0,
                           parse_one_line, position_blocks, simple_trichotomy)
+
+
+def compositions(N):
+    """Every composition of N, as a tuple of positive parts."""
+    if N == 0:
+        yield ()
+        return
+    for first in range(1, N + 1):
+        for rest in compositions(N - first):
+            yield (first,) + rest
 
 
 class TestPerm:
@@ -152,6 +162,16 @@ class TestCosets:
     def test_position_blocks(self):
         assert [list(b) for b in position_blocks({2, 3, 4}, 6)] == \
             [[1], [2, 3, 4, 5], [6]]
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_composition_delta_inverts_position_blocks(self, N):
+        for parts in compositions(N):
+            delta = composition_delta(parts)
+            assert delta <= set(range(1, N))
+            assert tuple(len(b) for b in position_blocks(delta, N)) == parts
+        for bits in range(2 ** (N - 1)):
+            delta = frozenset(i for i in range(1, N) if bits >> (i - 1) & 1)
+            assert composition_delta(len(b) for b in position_blocks(delta, N)) == delta
 
     def test_members_count(self):
         coset = LeviCoset.of(Perm.identity(4), {1, 3})
