@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .parabolic import SelfCheckError, SpinParabolic
@@ -552,35 +553,44 @@ class ProfileSolution:
         return self.status != "inconsistent"
 
 
-def _eliminate(rows: list[tuple[list[Fraction], Fraction, str]], num_vars: int):
-    """Exact Gauss elimination tracking the provenance of every derived row.
+def _eliminate(rows: list[tuple[list[int], Fraction, str]], num_vars: int):
+    """Fraction-free Gauss elimination tracking the provenance of every derived row.
 
-    Returns (pivots: dict col -> reduced row, certificate rows) where each
-    reduced row carries the combination of original labeled equations that
-    produced it.
+    Each working row is one integer vector [coeffs | rhs | combination], a
+    nonzero multiple of the rational row, first scaled by the denominator
+    of its rhs.  A row is reduced against each earlier pivot as
+    a*row - b*pivot and then divided by the gcd of its entries.  The
+    rational row has coefficient 1 on its own equation, so the integer
+    row's own combination entry is its scale: dividing by it recovers the
+    rational combination, which is unique since the pivot rows are
+    linearly independent.
+
+    Returns (pivots: dict col -> reduced integer row, certificate rows).
     """
     labels = [label for _, _, label in rows]
-    work = []
-    for idx, (coeffs, rhs, _) in enumerate(rows):
-        combo = [Fraction(0)] * len(rows)
-        combo[idx] = Fraction(1)
-        work.append((list(coeffs), rhs, combo))
-    pivots: dict[int, tuple[list[Fraction], Fraction, list[Fraction]]] = {}
+    pivots: dict[int, list[int]] = {}
     bad: list[CertificateRow] = []
-    for coeffs, rhs, combo in work:
-        for col, pivot in sorted(pivots.items()):
-            if coeffs[col]:
-                f = coeffs[col] / pivot[0][col]
-                coeffs = [a - f * b for a, b in zip(coeffs, pivot[0])]
-                rhs = rhs - f * pivot[1]
-                combo = [a - f * b for a, b in zip(combo, pivot[2])]
-        lead = next((c for c in range(num_vars) if coeffs[c]), None)
+    for idx, (coeffs, rhs, _) in enumerate(rows):
+        scale = rhs.denominator
+        row = [c * scale for c in coeffs] + [rhs.numerator] + [0] * len(rows)
+        row[num_vars + 1 + idx] = scale
+        for col in sorted(pivots):
+            if row[col]:
+                pivot = pivots[col]
+                g = gcd(row[col], pivot[col])
+                a, b = pivot[col] // g, row[col] // g
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                row = [x // g for x in row]
+        lead = next((c for c in range(num_vars) if row[c]), None)
         if lead is None:
-            if rhs:
-                combination = tuple((labels[i], c) for i, c in enumerate(combo) if c)
-                bad.append(CertificateRow(combination, rhs))
+            if row[num_vars]:
+                scale = row[num_vars + 1 + idx]
+                combination = tuple((labels[i], Fraction(c, scale))
+                                    for i, c in enumerate(row[num_vars + 1:]) if c)
+                bad.append(CertificateRow(combination, Fraction(row[num_vars], scale)))
             continue
-        pivots[lead] = (coeffs, rhs, combo)
+        pivots[lead] = row
     return pivots, bad
 
 
@@ -591,12 +601,12 @@ def _check_slope_indices(slopes: Mapping[int, Fraction | int], n: int) -> None:
 
 
 def _slope_rows(slopes: Mapping[int, Fraction | int], lam: PureWeight, sigma: Perm,
-                tag: str) -> list[tuple[list[Fraction], Fraction, str]]:
+                tag: str) -> list[tuple[list[int], Fraction, str]]:
     n = lam.n
     _check_slope_indices(slopes, n)
     rows = []
     for k in sorted(slopes):
-        coeffs = [Fraction(0)] * (2 * n + 1)
+        coeffs = [0] * (2 * n + 1)
         for j in range(1, k + 1):
             coeffs[sigma(j) - 1] += 1
         rhs = Fraction(slopes[k]) - sum(lam.coeffs[:k]) - Fraction(delta_half_exponent(k, n), 2)
@@ -616,12 +626,12 @@ def solve_profile_joint(systems: Sequence[tuple[Perm, Mapping[int, Fraction | in
     """
     n = lam.n
     num_vars = 2 * n + 1
-    rows: list[tuple[list[Fraction], Fraction, str]] = []
+    rows: list[tuple[list[int], Fraction, str]] = []
     for sigma, slopes in systems:
         tag = f"[{''.join(map(str, sigma.images))}]" if len(systems) > 1 else ""
         rows.extend(_slope_rows(slopes, lam, sigma, tag))
     for i in range(1, n + 1):
-        coeffs = [Fraction(0)] * num_vars
+        coeffs = [0] * num_vars
         coeffs[i - 1] += 1
         coeffs[2 * n - i] += 1
         coeffs[2 * n] -= 1
@@ -630,13 +640,16 @@ def solve_profile_joint(systems: Sequence[tuple[Perm, Mapping[int, Fraction | in
     if bad:
         return ProfileSolution("inconsistent", None, certificate=tuple(bad))
     names = [f"t_{i}" for i in range(1, 2 * n + 1)] + ["eta"]
-    solution = [Fraction(0)] * num_vars
+    # Back-substitution over one common denominator: unknown c is nums[c] / den.
+    nums = [0] * num_vars
+    den = 1
     for col in sorted(pivots, reverse=True):
-        coeffs, rhs, _ = pivots[col]
-        acc = rhs
-        for c in range(col + 1, num_vars):
-            acc -= coeffs[c] * solution[c]
-        solution[col] = acc / coeffs[col]
+        row = pivots[col]
+        acc = row[num_vars] * den - sum(row[c] * nums[c] for c in range(col + 1, num_vars))
+        nums = [v * row[col] for v in nums]
+        nums[col] = acc
+        den *= row[col]
+    solution = [Fraction(v, den) for v in nums]
     free = tuple(names[c] for c in range(num_vars) if c not in pivots)
     profile = ValuationProfile(n, tuple(solution[: 2 * n]), solution[2 * n], lam.sw)
     return ProfileSolution("family" if free else "unique", profile, free=free)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -35,7 +36,15 @@ DEFAULT_ENUMERATION_BOUND = 5
 
 
 class EnumerationBoundError(ValueError):
-    """Rank exceeds the configured full-enumeration bound."""
+    """Rank exceeds the configured full-enumeration bound, or memory."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -262,12 +271,18 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
     costs one packed comparison and two writes.  Each stratum's buffer is
     allocated once at its closed-form size, so memory does not depend on
     how growing buffers happen to fragment the heap; every size is checked
-    against what the enumeration wrote.
+    against what the enumeration wrote.  A rank whose buffers, (2n)! * 2n
+    bytes, exceed physical memory is refused before any is allocated.
     """
     if n > bound:
         raise EnumerationBoundError(
             f"n={n} exceeds the enumeration bound {bound}; raise the bound explicitly")
     N = 2 * n
+    need, have = factorial(N) * N, _physical_memory()
+    if have is not None and need > have:
+        raise EnumerationBoundError(
+            f"n={n} needs {need} bytes of stratum buffers, more than the {have} bytes "
+            f"of physical memory")
     width, fill, guard, head_bits, tail_bits = _sweep_layout(n)
     top = (n - 1) * width
     values = range(1, N + 1)

@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from spinref import cli, intertwine, refine
 from spinref.cli import main, parse_refinement_report, refinement_report
+from spinref.parabolic import all_spin_parabolics
 from spinref.weyl import Perm, format_one_line
 
 DATA = Path(__file__).parent / "data"
@@ -60,6 +62,17 @@ class TestClassify:
     def test_rank_validated(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "0")
         assert code == 1 and ">= 1" in err
+
+    def test_memory_refusal(self, capsys, monkeypatch):
+        # n = 3 needs 6! * 6 = 4320 bytes of stratum buffers
+        monkeypatch.setattr(refine, "_physical_memory", lambda: 4319)
+        code, out, err = run(capsys, "classify", "--n", "3")
+        assert code == 2 and out == ""
+        assert err == ("error: n=3 needs 4320 bytes of stratum buffers, more than the "
+                       "4319 bytes of physical memory\n")
+        monkeypatch.setattr(refine, "_physical_memory", lambda: 4320)
+        code, out, _ = run(capsys, "classify", "--n", "3", "--format", "json")
+        assert code == 0 and json.loads(out)["total"] == 720
 
     # SHA-256 of stdout as produced by the per-member implementation that
     # built a Perm for every refinement; the output must not change.
@@ -202,6 +215,13 @@ class TestSlopes:
         assert code == 1 and out == ""
         assert err == "error: slope index 9 outside 1..4\n"
 
+    @pytest.mark.parametrize("extra", [(), ("--solve",)])
+    def test_duplicate_index(self, capsys, extra):
+        code, out, err = run(capsys, "slopes", "--sigma", "1234", "--lambda", "12,1,-1,-12",
+                             "--slopes", "1=1,2=0,3=11,1=2", *extra)
+        assert code == 4 and out == ""
+        assert err == "error: duplicate slope index 1\n"
+
 
 class TestMTau:
     def test_borel_n2(self, capsys):
@@ -288,6 +308,110 @@ class TestZeta:
         assert code == 1 and "positive" in err
 
 
+def query_requests(kind, n, fmt):
+    """A fixed seeded set of six query requests of one kind, rank and format.
+
+    slopes requests solve every shape of declared slopes: all 2n, the
+    Borel's 1..2n-1, and a random parabolic's indices plus random extras;
+    the last three of the six have one slope perturbed.
+    """
+    rng = random.Random(f"{kind}/{n}/{fmt}")
+    N = 2 * n
+    compositions = [p.composition for p in all_spin_parabolics(n)]
+    requests = []
+    for shape in range(6):
+        images = rng.sample(range(1, N + 1), N)
+        if N <= 9 and rng.random() < 0.5:
+            sigma = "".join(map(str, images))
+        else:
+            sigma = ",".join(map(str, images))
+        if kind == "info":
+            requests.append(["info", "--sigma", sigma, "--format", fmt])
+        elif kind == "zeta":
+            requests.append(["zeta", "--parabolic", ",".join(map(str, rng.choice(compositions))),
+                             "--beta", str(rng.randint(1, 3)), "--format", fmt])
+        else:
+            sw = rng.randint(-3, 3)
+            upper = [-(-sw // 2) + rng.randint(0, 2)]
+            for _ in range(n - 1):
+                upper.append(upper[-1] + rng.randint(0, 4))
+            upper.reverse()
+            lam = upper + [sw - v for v in reversed(upper)]
+            eta = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+            half = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+            t = half + [eta - v for v in reversed(half)]
+            extra = []
+            if shape % 3 == 0:
+                declared = range(1, N + 1)
+            elif shape % 3 == 1:
+                declared = range(1, N)
+            else:
+                comp = rng.choice(compositions)
+                delta = {sum(comp[:i]) for i in range(1, len(comp))}
+                declared = sorted(delta | set(rng.sample(range(1, N + 1), rng.randint(0, n))))
+                extra = ["--parabolic", ",".join(map(str, comp))]
+            # the slope formula: sum of t over sigma(1..k), plus lambda_1..k, less k(2n-k)/2
+            slopes = {k: sum(t[images[j] - 1] for j in range(k)) + sum(lam[:k])
+                      - Fraction(k * (N - k), 2) for k in declared}
+            if shape >= 3:
+                k = rng.choice(sorted(slopes))
+                slopes[k] += Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+            requests.append(["slopes", "--sigma", sigma, "--lambda=" + ",".join(map(str, lam)),
+                             "--slopes", ",".join(f"{k}={v}" for k, v in sorted(slopes.items())),
+                             *extra, "--solve", "--format", fmt])
+    return requests
+
+
+class TestQueries:
+    # SHA-256 of the stdout of each group of query_requests, concatenated,
+    # as produced by the per-call parser and Fraction elimination.  The
+    # output must not change.
+    PINNED = {
+        ("info", 2, "json"): "327c4692f136cf8905bb6a5e88eede88732cd96eec5ef7a29588221d8725a089",
+        ("info", 2, "table"): "4302adb4a9daadf4188683a3d158ac75839f9300dd91662c573e4180c304073a",
+        ("info", 3, "json"): "5482a13c0367b369707fa130e5341e79e9a9d21771b266b32477683cf5b07a52",
+        ("info", 3, "table"): "692d744d373566f4db9970db9c40971fcc3fb6af4c46c661da933630b4030311",
+        ("info", 4, "json"): "03f91bc9a357ed9138f5178e8d5031d5eca3a82cf67c4fe781d6c33cad637a0d",
+        ("info", 4, "table"): "80c21dbb484dac9bfb854f9402cc880c7513e02378214dc4d42b5c9af93d2b0c",
+        ("info", 5, "json"): "0a08838121fa6fdb9e9a5c4bc58888df5b684361184834223320d771dff159b1",
+        ("info", 5, "table"): "597eba66476be8f2f1f2cce43a4107c62246e9e3dbc7ab0597cb7ca4015d9e6c",
+        ("slopes", 2, "json"): "786e7dad24454ef3c86994cb9ea43f3cd65d9055197b4ed5259c0214e072e866",
+        ("slopes", 2, "table"): "894e8c4fd350914e88255ea9d151a0d6b8da0cbd28d71ed12510a1622aa1366c",
+        ("slopes", 3, "json"): "60bfbb3ac067006a6cadb07f20495c162c29334f9dc255b1c3774d0b777834ae",
+        ("slopes", 3, "table"): "8cdbe847abe3b72a374f7ba8b547430af173638a89288438640f00d89fef9e90",
+        ("slopes", 4, "json"): "327f78e6359a00ac248a4c2eb7d568fa0b802363ae0dbaf4428c9387acc400f2",
+        ("slopes", 4, "table"): "543693a4ad645fa6567a642962b27f6e7cdbfec0e2af91b6d3662fb27251aef8",
+        ("slopes", 5, "json"): "168bd47e09e41e3b2bcf66342efb575bf80171f1ecf5bc993a8e7d81fdb16149",
+        ("slopes", 5, "table"): "01e135dfccb4ca3e3219281681b10355119fc3a34490600a79bd14ac452e64a9",
+        ("zeta", 2, "json"): "0e9f869221d18d740363a875f06ea48c91dfa07009cd3ff2b9544cdb36ee85f9",
+        ("zeta", 2, "table"): "765d6d744da5d40d9725015e386911a8db51bb1e31fa0b9984f00455a93763d6",
+        ("zeta", 3, "json"): "231bd9d7a71e89706b9f95618bad291830df846f372ea266a74dc101df2ce850",
+        ("zeta", 3, "table"): "045c64d511c189be86821bc0f6e5dffaf2b67d9c194d585fd1d6fed2dc012741",
+        ("zeta", 4, "json"): "1826becd476def45d39269779dc2253da80911f432b8cbf7de266e9dbd7dfbe4",
+        ("zeta", 4, "table"): "5301eec798eb125bb7128f6cc37f16f21e9972bb2e9402741579fe4a57142ab2",
+        ("zeta", 5, "json"): "9429473fa9abf38aac05f0bd1b67be674c315a2ef894818d1988c71730c94c0e",
+        ("zeta", 5, "table"): "8da940eeb4bc204d8f90a79891c6a469d7bdf111b33b887ded1db12d61aebf82",
+    }
+
+    @pytest.mark.parametrize("kind,n,fmt", sorted(PINNED))
+    def test_pinned_digest(self, capsys, kind, n, fmt):
+        digest = hashlib.sha256()
+        for argv in query_requests(kind, n, fmt):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            digest.update(out.encode())
+        assert digest.hexdigest() == self.PINNED[kind, n, fmt]
+
+    def test_slopes_cover_every_status(self, capsys):
+        # the pinned slopes requests reach all three outcomes of the solve
+        statuses = set()
+        for n in range(2, 6):
+            for argv in query_requests("slopes", n, "json"):
+                _, out, _ = run(capsys, *argv)
+                statuses.add(json.loads(out)["solve"]["status"])
+        assert statuses == {"unique", "family", "inconsistent"}
+
+
 def assert_one_error_line(err):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -314,6 +438,64 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """main parses every call with one parser, built on the first call."""
+
+    SEQUENCE = [
+        ["classify", "--n", "two"],
+        ["--help"],
+        ["classify", "--n", "2", "--format", "csv"],
+        ["info", "--sigma", "2134", "--format", "table"],
+        ["slopes", "--sigma", "1234", "--lambda", "12,1,-1,-12", "--slopes", "1=11,2=0,3=11",
+         "--parabolic", "2,2", "--solve", "--format", "json"],
+        ["slopes", "--sigma", "2134", "--lambda", "12,1,-1,-12", "--slopes", "1=11,2=0,3=1"],
+        ["zeta", "--parabolic", "1,2,1", "--beta", "2"],
+        ["zeta", "--parabolic", "1,2,1"],
+        ["mtau", "--parabolic", "2,2", "--format", "json"],
+        ["mtau", "--parabolic", "2,2"],
+        ["info", "--sigma", "2134"],
+        ["classify", "--n", "2"],
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_outputs_equal_first_calls(self, capsys):
+        first = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            first.append(self.call(capsys, argv))
+        cli._parser.cache_clear()
+        assert [self.call(capsys, argv) for argv in self.SEQUENCE] == first
+        assert cli._parser.cache_info().misses == 1
+        codes = [code for code, _, _ in first]
+        assert codes == [1] + [0] * (len(self.SEQUENCE) - 1)
+
+    def test_no_flag_or_default_leaks(self, capsys):
+        code, out, _ = self.call(capsys, self.SEQUENCE[4])
+        assert code == 0 and json.loads(out)["solve"]["status"] == "unique"
+        args = cli._parser().parse_args(self.SEQUENCE[5])
+        assert (args.solve, args.format, args.parabolic) == (False, "table", None)
+        code, out, _ = self.call(capsys, self.SEQUENCE[5])
+        assert code == 0 and out.startswith("U_p,1: slope 11 < bound 12  ok\n")
+        assert "profile solve" not in out
+        args = cli._parser().parse_args(["zeta", "--parabolic", "2,2"])
+        assert (args.beta, args.format) == (1, "table")
+
+    def test_not_built_at_import(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import spinref.cli as c; print(c._parser.cache_info().misses)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stdout == "0\n"
 
 
 class TestSelfCheckFailure:

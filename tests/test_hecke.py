@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinref.hecke import (FracHeckeWord, GammaScanAmbiguous, GammaScanNoSolution,
-                           GeneratorNotInAlgebraError,
-                           HeckeWord, MissingSlopeError, SatakeMonomial, ValuationProfile,
+from spinref.hecke import (CertificateRow, FracHeckeWord, GammaScanAmbiguous,
+                           GammaScanNoSolution, GeneratorNotInAlgebraError,
+                           HeckeWord, MissingSlopeError, ProfileSolution, SatakeMonomial,
+                           ValuationProfile,
                            alpha_U, alpha_U_circ, build_circ_alphas, char_poly_roots,
                            delta_half_exponent, factors_through_spin, gamma_relation_holds,
                            gamma_uniqueness_scan,
@@ -526,6 +527,131 @@ class TestSolveProfile:
                 acc_rhs += c * rhs
             assert all(v == 0 for v in acc_coeffs)
             assert acc_rhs == row.residual != 0
+
+
+def reference_eliminate(rows, num_vars):
+    """Gauss elimination in Fractions, tracking the provenance of every row.
+
+    The solver's former algorithm, kept as the reference for its integer
+    elimination.  Returns (pivots: dict col -> (coeffs, rhs, combination),
+    certificate rows).
+    """
+    labels = [label for _, _, label in rows]
+    work = []
+    for idx, (coeffs, rhs, _) in enumerate(rows):
+        combo = [Fraction(0)] * len(rows)
+        combo[idx] = Fraction(1)
+        work.append((list(coeffs), rhs, combo))
+    pivots = {}
+    bad = []
+    for coeffs, rhs, combo in work:
+        for col, pivot in sorted(pivots.items()):
+            if coeffs[col]:
+                f = coeffs[col] / pivot[0][col]
+                coeffs = [a - f * b for a, b in zip(coeffs, pivot[0])]
+                rhs = rhs - f * pivot[1]
+                combo = [a - f * b for a, b in zip(combo, pivot[2])]
+        lead = next((c for c in range(num_vars) if coeffs[c]), None)
+        if lead is None:
+            if rhs:
+                combination = tuple((labels[i], c) for i, c in enumerate(combo) if c)
+                bad.append(CertificateRow(combination, rhs))
+            continue
+        pivots[lead] = (coeffs, rhs, combo)
+    return pivots, bad
+
+
+def reference_solve(systems, lam):
+    """solve_profile_joint through reference_eliminate, on Fraction rows."""
+    n = lam.n
+    num_vars = 2 * n + 1
+    rows = []
+    for sigma, slopes in systems:
+        tag = f"[{''.join(map(str, sigma.images))}]" if len(systems) > 1 else ""
+        for k in sorted(slopes):
+            coeffs = [Fraction(0)] * num_vars
+            for j in range(1, k + 1):
+                coeffs[sigma(j) - 1] += 1
+            rhs = (Fraction(slopes[k]) - sum(lam.coeffs[:k])
+                   - Fraction(delta_half_exponent(k, n), 2))
+            rows.append((coeffs, rhs, f"slope{tag}:U_{k}"))
+    for i in range(1, n + 1):
+        coeffs = [Fraction(0)] * num_vars
+        coeffs[i - 1] += 1
+        coeffs[2 * n - i] += 1
+        coeffs[2 * n] -= 1
+        rows.append((coeffs, Fraction(0), f"purity:{i}"))
+    pivots, bad = reference_eliminate(rows, num_vars)
+    if bad:
+        return ProfileSolution("inconsistent", None, certificate=tuple(bad))
+    names = [f"t_{i}" for i in range(1, 2 * n + 1)] + ["eta"]
+    solution = [Fraction(0)] * num_vars
+    for col in sorted(pivots, reverse=True):
+        coeffs, rhs, _ = pivots[col]
+        acc = rhs
+        for c in range(col + 1, num_vars):
+            acc -= coeffs[c] * solution[c]
+        solution[col] = acc / coeffs[col]
+    free = tuple(names[c] for c in range(num_vars) if c not in pivots)
+    profile = ValuationProfile(n, tuple(solution[: 2 * n]), solution[2 * n], lam.sw)
+    return ProfileSolution("family" if free else "unique", profile, free=free)
+
+
+def random_pure_weight(rng, n):
+    """A dominant pure weight: lambda_i + lambda_{2n+1-i} = sw, non-increasing."""
+    sw = rng.randint(-3, 3)
+    upper = [-(-sw // 2) + rng.randint(0, 2)]
+    for _ in range(n - 1):
+        upper.append(upper[-1] + rng.randint(0, 4))
+    upper.reverse()
+    return PureWeight.from_coeffs(tuple(upper + [sw - v for v in reversed(upper)]))
+
+
+def random_profile(rng, lam):
+    n = lam.n
+    eta = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+    half = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
+    return ValuationProfile(n, tuple(half + [eta - v for v in reversed(half)]), eta, lam.sw)
+
+
+class TestSolverMatchesReference:
+    """The integer solver returns what Fraction elimination returns, exactly."""
+
+    # all slopes declared, a random subset, all with one perturbed, and 2-3
+    # refinements with a profile each or one shared profile
+    SHAPES = ("all", "some", "perturbed", "joint", "joint-shared")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_random_systems(self, n):
+        rng = random.Random(700 + n)
+        N = 2 * n
+        statuses = set()
+        for _ in range(16):
+            for shape in self.SHAPES:
+                lam = random_pure_weight(rng, n)
+                prof = random_profile(rng, lam)
+                systems = []
+                for _ in range(rng.randint(2, 3) if shape.startswith("joint") else 1):
+                    sigma = Perm(tuple(rng.sample(range(1, N + 1), N)))
+                    declared = (range(1, N + 1) if shape in ("all", "perturbed")
+                                else rng.sample(range(1, N + 1), rng.randint(1, N)))
+                    if shape == "joint" and systems:
+                        prof = random_profile(rng, lam)
+                    slopes = {k: slope(Refinement(n, sigma), k, lam, prof) for k in declared}
+                    if shape == "perturbed":
+                        k = rng.choice(sorted(slopes))
+                        slopes[k] += Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 5)))
+                    systems.append((sigma, slopes))
+                fast = solve_profile_joint(systems, lam)
+                ref = reference_solve(systems, lam)
+                assert fast.status == ref.status
+                assert fast.profile == ref.profile
+                assert fast.free == ref.free
+                assert fast.certificate == ref.certificate
+                assert [row.describe() for row in fast.certificate] == \
+                    [row.describe() for row in ref.certificate]
+                statuses.add(fast.status)
+        assert statuses == {"unique", "family", "inconsistent"}
 
 
 class TestNonCriticalSlope:
