@@ -31,7 +31,7 @@ from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profil
 from .intertwine import m_tau_expansion, zeta_support_verdict
 from .parabolic import NotSpinError, SelfCheckError, SpinParabolic, format_xp, parse_composition
 from .refine import (DEFAULT_ENUMERATION_BOUND, EnumerationBoundError, Refinement,
-                     gamma, optimal_parabolic, spin_set, stratum_words, to_B_spin)
+                     gamma, optimal_parabolic, stratum_words, to_B_spin)
 from .rootdata import PureWeight
 from .weyl import format_one_line
 
@@ -59,7 +59,7 @@ def _parse_sigma(text: str) -> Refinement:
         raise CliError(f"malformed permutation: {exc}", EXIT_BAD_PERM) from exc
 
 
-def _parse_weight(text: str, require_dominant: bool = True) -> PureWeight:
+def _parse_weight(text: str) -> PureWeight:
     try:
         coeffs = tuple(int(piece) for piece in text.split(","))
     except ValueError as exc:
@@ -68,7 +68,7 @@ def _parse_weight(text: str, require_dominant: bool = True) -> PureWeight:
         lam = PureWeight.from_coeffs(coeffs)
     except ValueError as exc:
         raise CliError(f"bad weight: {exc}") from exc
-    if require_dominant and not lam.is_dominant:
+    if not lam.is_dominant:
         raise CliError(f"weight {text!r} is not dominant")
     return lam
 
@@ -216,20 +216,19 @@ def cmd_classify(args) -> int:
 def refinement_report(r: Refinement) -> dict:
     profile = optimal_parabolic(r)
     taus, target = to_B_spin(r)
+    alphas = {k: alpha_U(r, k) for k in range(1, 2 * r.n + 1)}
     report = {
         "sigma": r.one_line(),
         "n": r.n,
-        "spin_set": sorted(spin_set(r)),
+        "spin_set": sorted(profile.spin_set),
         "gamma": list(gamma(r).values),
         "optimal": profile.optimal.label(),
         "optimal_xp": sorted(profile.optimal.xp),
         "dim": len(profile.optimal.xp) + 1,
         "b_spin_target": target.one_line(),
         "tau": [list(t) for t in taus],
-        "alpha_u": {
-            str(k): dict(alpha_U(r, k).normal_form().to_json(), str=str(alpha_U(r, k)))
-            for k in range(1, 2 * r.n + 1)
-        },
+        "alpha_u": {str(k): dict(a.normal_form().to_json(), str=str(a))
+                    for k, a in alphas.items()},
     }
     return report
 

@@ -399,7 +399,6 @@ def jmath_hecke(word: HeckeWord, p: SpinParabolic) -> HeckeWord:
     U_{p,r} -> U'_{p,r} and U_{p,2n-r} -> U'_{p,r} V^{n-r} for r <= n with
     a_r outside the Levi, and U_{p,2n} -> V^n; extended multiplicatively.
     """
-    p.require_spin()
     n = p.n
     if word.n != n or word.v:
         raise ValueError(f"jmath_hecke takes a rank-{n} GL word, without a similitude factor")
@@ -445,7 +444,6 @@ def factors_through_spin(r: Refinement, p: SpinParabolic
     eigenvalue of its GL preimage.  The assignment is verified against
     every generator of the parahoric algebra before being returned.
     """
-    p.require_spin()
     if not is_P_spin(r, p):
         return None
     n = r.n
@@ -480,7 +478,6 @@ def char_poly_roots(p: SpinParabolic, k: int, group: str = "GL"
                 for images in itertools.permutations(range(1, 2 * n + 1))}
         roots = [alpha_U(Refinement(n, rep), k).normal_form() for rep in reps]
     elif group == "GSpin":
-        p.require_spin()
         gens: list[SignedPerm] = []
         for i in range(1, n + 1):
             if i in p.xp:

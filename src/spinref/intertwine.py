@@ -28,7 +28,7 @@ middle (n, n) one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable
 
 from .parabolic import NotSpinError, SelfCheckError, SpinParabolic
 from .ratfunc import Poly, RatFunc
@@ -87,9 +87,8 @@ class PSVector:
         self.terms = {w: c for w, c in self.terms.items() if not c.is_zero}
 
     @classmethod
-    def cell(cls, w: Perm, twist: Optional[Perm] = None) -> "PSVector":
-        twist = twist if twist is not None else Perm.identity(w.degree)
-        return cls(twist, {w: RatFunc.const(1, w.degree + 1)})
+    def cell(cls, w: Perm) -> "PSVector":
+        return cls(Perm.identity(w.degree), {w: RatFunc.const(1, w.degree + 1)})
 
 
 def T_s(v: PSVector, a: int) -> PSVector:
@@ -162,7 +161,6 @@ def w_of_rho(rho: Perm) -> Perm:
 
 def lower_block_composition(p: SpinParabolic) -> tuple[int, ...]:
     """The composition (k_1, ..., k_r) of n cut out by a parabolic inside (n, n)."""
-    p.require_spin()
     if not p.contained_in_nn:
         raise NotSpinError(
             f"the {p.label()}-parabolic is not contained in the (n,n)-parabolic")
@@ -335,7 +333,6 @@ class SupportVerdict:
 
 
 def zeta_support_verdict(p: SpinParabolic, beta: int) -> SupportVerdict:
-    p.require_spin()
     exps = p.staircase_cochar().coeffs
     n = p.n
     z1 = tuple(beta * e for e in exps[:n])

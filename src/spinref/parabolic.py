@@ -7,9 +7,8 @@ i <-> 2n-i, equivalently when the composition is palindromic; spin
 parabolics biject (inclusion-reversingly) with subsets X of {1, ..., n}
 via X = {i <= n : a_i not in delta}.
 
-Only standard parabolics (containing the fixed upper Borel) are modeled.
-Non-spin parabolics are representable, for coset enumeration, but the
-spin-only operations reject them.
+Only standard spin parabolics (containing the fixed upper Borel) are
+modeled: a non-spin delta is refused when the parabolic is built.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .weyl import composition_delta, position_blocks
 
 
 class NotSpinError(ValueError):
-    """Raised when a spin-only operation meets a non-spin parabolic."""
+    """Raised for a non-spin composition, or a parabolic outside the (n, n)-parabolic."""
 
 
 class SelfCheckError(RuntimeError):
@@ -31,15 +30,14 @@ class SelfCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpinParabolic:
-    """Standard parabolic of GL(2n), tagged with its spin data when spin.
+    """Standard spin parabolic of GL(2n); a non-spin delta raises NotSpinError.
 
     Fields:
         n: ambient rank (the group is GL(2n)).
-        delta: simple-root indices i in {1, ..., 2n-1} with a_i in the Levi.
-        composition: block sizes (m_1, ..., m_r), summing to 2n.
-        xp: for spin parabolics, {i <= n : a_i not in delta}; empty
-            frozenset is stored for non-spin ones (use is_spin to tell G
-            apart from a non-spin parabolic).
+        delta: simple-root indices i in {1, ..., 2n-1} with a_i in the Levi,
+            symmetric under i <-> 2n-i.
+        composition: block sizes (m_1, ..., m_r), a palindrome summing to 2n.
+        xp: {i <= n : a_i not in delta}.
     """
 
     n: int
@@ -53,38 +51,23 @@ class SpinParabolic:
             raise ValueError("rank must be >= 1")
         if any(not (1 <= i <= N - 1) for i in self.delta):
             raise ValueError(f"delta {set(self.delta)} not inside 1..{N - 1}")
-        object.__setattr__(self, "composition",
-                           tuple(len(b) for b in position_blocks(self.delta, N)))
-        if self.is_spin:
-            object.__setattr__(
-                self, "xp", frozenset(i for i in range(1, self.n + 1) if i not in self.delta))
-        else:
-            object.__setattr__(self, "xp", frozenset())
-
-    @property
-    def is_spin(self) -> bool:
-        N = 2 * self.n
-        return all((N - i) in self.delta for i in self.delta)
+        composition = tuple(len(b) for b in position_blocks(self.delta, N))
+        if any((N - i) not in self.delta for i in self.delta):
+            raise NotSpinError(f"composition {composition} is not symmetric around the middle")
+        object.__setattr__(self, "composition", composition)
+        object.__setattr__(
+            self, "xp", frozenset(i for i in range(1, self.n + 1) if i not in self.delta))
 
     @classmethod
-    def from_composition(cls, parts: Iterable[int], *, require_spin: bool = True
-                         ) -> "SpinParabolic":
-        """Parabolic with Levi GL(m_1) x ... x GL(m_r).
-
-        With require_spin (the default) a non-palindromic composition is
-        rejected; pass require_spin=False to build general standard
-        parabolics.
-        """
+    def from_composition(cls, parts: Iterable[int]) -> "SpinParabolic":
+        """Spin parabolic with Levi GL(m_1) x ... x GL(m_r); m must be a palindrome."""
         parts = tuple(parts)
         if not parts or any(m <= 0 for m in parts):
             raise ValueError(f"composition parts must be positive, got {parts}")
         total = sum(parts)
         if total % 2 != 0:
             raise ValueError(f"composition must sum to an even number, got {total}")
-        p = cls(total // 2, composition_delta(parts))
-        if require_spin and not p.is_spin:
-            raise NotSpinError(f"composition {parts} is not symmetric around the middle")
-        return p
+        return cls(total // 2, composition_delta(parts))
 
     @classmethod
     def from_xp(cls, x: Iterable[int], n: int) -> "SpinParabolic":
@@ -119,11 +102,6 @@ class SpinParabolic:
     def contained_in_nn(self) -> bool:
         """Whether the parabolic sits inside the (n, n)-parabolic."""
         return self.n not in self.delta
-
-    def require_spin(self) -> "SpinParabolic":
-        if not self.is_spin:
-            raise NotSpinError(f"the {self.composition}-parabolic is not spin")
-        return self
 
     def intersect(self, other: "SpinParabolic") -> "SpinParabolic":
         """Parabolic intersection: intersect deltas (X_P's take a union)."""
@@ -165,10 +143,9 @@ def all_spin_parabolics(n: int) -> Iterator[SpinParabolic]:
 def parse_composition(text: str) -> tuple[int, ...]:
     """Parse "m1,m2,...,mr" into a composition tuple."""
     try:
-        parts = tuple(int(piece) for piece in text.split(","))
+        return tuple(int(piece) for piece in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad composition {text!r}") from exc
-    return parts
+        raise ValueError("parts must be integers") from exc
 
 
 def format_xp(x: frozenset[int]) -> str:
@@ -193,7 +170,6 @@ def weight_in_parabolic_coset(lam: PureWeight, base: PureWeight, p: SpinParaboli
 
 def pure_parabolic_dim(p: SpinParabolic) -> int:
     """Dimension #X_P + 1 of the pure P-parabolic weight family."""
-    p.require_spin()
     return len(p.xp) + 1
 
 

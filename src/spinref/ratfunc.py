@@ -95,9 +95,6 @@ class Poly:
         return isinstance(other, Poly) and self.nvars == other.nvars \
             and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.coeffs.items())))
-
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.coeffs)
         get = out.get
@@ -254,9 +251,6 @@ class RatFunc:
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.num, self.den * other.den)

@@ -107,10 +107,6 @@ class GammaMap:
     def __call__(self, i: int) -> int:
         return self.values[i - 1]
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
     def preserves_prefix(self, r: int) -> bool:
         """Whether {1, ..., r} maps into itself."""
         return all(self.values[i] <= r for i in range(r))
@@ -194,7 +190,6 @@ def _wg0_minreps(n: int, delta: frozenset[int]) -> frozenset[tuple[int, ...]]:
 
 def is_P_spin(r: Refinement, p: SpinParabolic, method: str = "combinatorial") -> bool:
     """Whether the refinement is P-spin, by one of three equivalent tests."""
-    p.require_spin()
     if r.n != p.n:
         raise ValueError("rank mismatch")
     if method == "weyl":
@@ -345,7 +340,6 @@ def parahoric_is_spin(pr: ParahoricRefinement) -> bool:
     Equivalent to any (hence every) Iwahori extension being P-spin, so the
     minimal coset representative decides.
     """
-    pr.parabolic.require_spin()
     return is_P_spin(Refinement(pr.n, pr.coset.rep), pr.parabolic)
 
 

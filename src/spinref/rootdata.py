@@ -48,10 +48,6 @@ class GLCharacter:
         _check(self.n == other.n, "rank mismatch")
         return GLCharacter(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "GLCharacter") -> "GLCharacter":
-        _check(self.n == other.n, "rank mismatch")
-        return GLCharacter(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
 
 @dataclass(frozen=True)
 class GLCocharacter:

@@ -222,6 +222,26 @@ class TestSlopes:
         assert code == 4 and out == ""
         assert err == "error: duplicate slope index 1\n"
 
+    @pytest.mark.parametrize("sigma, weight, slopes, extra, code, message", [
+        ("1234", "a,b,c,d", "1=1", (), 1, "bad weight 'a,b,c,d': integers expected"),
+        ("1234", "3,1,0,-3", "1=1", (), 1, "bad weight: weight (3, 1, 0, -3) is not pure"),
+        ("1234", "3,1,-1,-3", "1", (), 4, "bad slope entry '1': expected index=value"),
+        ("1234", "3,1,-1,-3", "1=x", (), 4,
+         "bad slope entry '1=x': Invalid literal for Fraction: 'x'"),
+        ("1234", None, "1=1", (), 4, "slopes needs --lambda"),
+        ("1234", "3,1,-1,-3", None, (), 4, "slopes needs --slopes"),
+        ("123456", "3,1,-1,-3", "1=1", (), 1, "weight and permutation ranks differ"),
+        ("1234", "3,1,-1,-3", "1=1,2=1,3=1", ("--parabolic", "1,1,1,1,1,1"), 1,
+         "composition '1,1,1,1,1,1' is for GL(6), expected GL(4)"),
+    ])
+    def test_rejected_input(self, capsys, sigma, weight, slopes, extra, code, message):
+        argv = ["slopes", "--sigma", sigma, *extra]
+        if weight is not None:
+            argv.append(f"--lambda={weight}")
+        if slopes is not None:
+            argv += ["--slopes", slopes]
+        assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
 
 class TestMTau:
     def test_borel_n2(self, capsys):
@@ -295,6 +315,12 @@ class TestZeta:
     def test_non_spin(self, capsys):
         code, _, err = run(capsys, "zeta", "--parabolic", "1,3,2")
         assert code == 5 and "not symmetric" in err
+
+    @pytest.mark.parametrize("text", [",,", "1,x"])
+    def test_malformed_composition_named_once(self, capsys, text):
+        code, out, err = run(capsys, "zeta", "--parabolic", text)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad composition {text!r}: parts must be integers\n"
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "zeta", "--parabolic", "1,2,1",

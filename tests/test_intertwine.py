@@ -301,9 +301,9 @@ class TestZetaSupport:
                 assert v.integral == even == v.contained_in_Q
 
     def test_non_spin_rejected(self):
+        # a non-spin parabolic cannot be built, so it never reaches the verdict
         with pytest.raises(NotSpinError):
-            zeta_support_verdict(
-                SpinParabolic.from_composition((1, 3, 2), require_spin=False), 1)
+            zeta_support_verdict(SpinParabolic.from_composition((1, 3, 2)), 1)
 
 
 class TestFactorisationGate:

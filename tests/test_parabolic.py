@@ -28,12 +28,12 @@ class TestConstruction:
         assert p.delta == frozenset(range(1, 6))
 
     def test_non_spin_rejected(self):
-        with pytest.raises(NotSpinError):
+        # refused when built, with the message the CLI prints
+        with pytest.raises(NotSpinError,
+                           match=r"^composition \(1, 3, 2\) is not symmetric around the middle$"):
             SpinParabolic.from_composition((1, 3, 2))
-        q = SpinParabolic.from_composition((1, 3, 2), require_spin=False)
-        assert not q.is_spin and q.composition == (1, 3, 2)
         with pytest.raises(NotSpinError):
-            pure_parabolic_dim(q)
+            SpinParabolic(2, frozenset({1}))
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_from_composition_round_trip(self, N):
@@ -42,10 +42,26 @@ class TestConstruction:
             for cuts in itertools.combinations(range(1, N), r):
                 c = tuple(b - a for a, b in zip((0,) + cuts, cuts + (N,)))
                 if N % 2:
-                    with pytest.raises(ValueError):
-                        SpinParabolic.from_composition(c, require_spin=False)
+                    with pytest.raises(ValueError) as exc:
+                        SpinParabolic.from_composition(c)
+                    assert type(exc.value) is ValueError
+                elif c == c[::-1]:
+                    assert SpinParabolic.from_composition(c).composition == c
                 else:
-                    assert SpinParabolic.from_composition(c, require_spin=False).composition == c
+                    with pytest.raises(NotSpinError):
+                        SpinParabolic.from_composition(c)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_spin_exactly_when_delta_symmetric(self, n):
+        N = 2 * n
+        for r in range(N):
+            for delta in map(frozenset, itertools.combinations(range(1, N), r)):
+                if delta == frozenset(N - i for i in delta):
+                    p = SpinParabolic(n, delta)
+                    assert SpinParabolic.from_xp(p.xp, n) == p
+                else:
+                    with pytest.raises(NotSpinError):
+                        SpinParabolic(n, delta)
 
     def test_from_xp(self):
         assert SpinParabolic.from_xp({1, 2}, 2).is_borel
