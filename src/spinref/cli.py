@@ -6,7 +6,9 @@ Subcommands:
 * info: classification report for one refinement (spin set, gamma,
   optimal parabolic, symbolic eigenvalues, switching data).
 * slopes: audit declared slopes against the non-critical bounds, with an
-  optional exact profile solve.
+  optional exact profile solve.  Slopes are index=value pairs; a value is
+  an integer (-7), a fraction (3/2) or a decimal (2.5), never in exponent
+  notation (1e5 is refused with exit 4).
 * zeta: support verdict of the twisted zeta integral for a spin parabolic.
 * mtau: intertwined parahoric eigenvector expansion with symbolic
   coefficients.
@@ -24,6 +26,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -73,6 +76,9 @@ def _parse_weight(text: str) -> PureWeight:
     return lam
 
 
+_EXPONENT = re.compile(r"[0-9.][eE]")
+
+
 def _parse_slopes(text: str) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for piece in text.split(","):
@@ -80,6 +86,10 @@ def _parse_slopes(text: str) -> dict[int, Fraction]:
             raise CliError(f"bad slope entry {piece!r}: expected index=value",
                            EXIT_MISSING_DATA)
         key, _, value = piece.partition("=")
+        if _EXPONENT.search(value):
+            # Fraction would expand 1e100000000 digit by digit, for minutes
+            raise CliError(f"bad slope entry {piece!r}: exponent notation is not accepted",
+                           EXIT_MISSING_DATA)
         try:
             index, slope = int(key), Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

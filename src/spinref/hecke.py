@@ -33,7 +33,7 @@ from .parabolic import SelfCheckError, SpinParabolic
 from .refine import GammaMap, Refinement, gamma, is_P_spin
 from .rootdata import PureWeight
 from .weyl import Perm, SignedPerm, coset_min_rep, embed_wg0, enumerate_signed_perms, \
-    generate_subgroup
+    format_one_line, generate_subgroup
 
 # ---------------------------------------------------------------------------
 # Satake monomials.
@@ -148,12 +148,11 @@ class SatakeMonomial:
 
 @dataclass(frozen=True)
 class ValuationProfile:
-    """Rational valuations t_i = v_p(theta_i(p)), plus v_p(eta(p)) and sw."""
+    """Rational valuations t_i = v_p(theta_i(p)), plus v_p(eta(p))."""
 
     n: int
     t: tuple[Fraction, ...]
     eta_val: Fraction = Fraction(0)
-    sw: int = 0
 
     def __post_init__(self) -> None:
         if len(self.t) != 2 * self.n:
@@ -164,9 +163,9 @@ class ValuationProfile:
         return cls(n, (Fraction(0),) * (2 * n))
 
     @classmethod
-    def of(cls, values: Iterable, eta_val=0, sw: int = 0) -> "ValuationProfile":
+    def of(cls, values: Iterable, eta_val=0) -> "ValuationProfile":
         t = tuple(Fraction(v) for v in values)
-        return cls(len(t) // 2, t, Fraction(eta_val), sw)
+        return cls(len(t) // 2, t, Fraction(eta_val))
 
     @property
     def is_pure(self) -> bool:
@@ -418,44 +417,25 @@ def jmath_hecke(word: HeckeWord, p: SpinParabolic) -> HeckeWord:
     return HeckeWord(n, tuple(exps), word.p_half, v)
 
 
-@dataclass(frozen=True)
-class SpinEigenvalueAssignment:
-    """GSpin eigenvalues pulled back through the transfer map."""
-
-    n: int
-    u_values: tuple[tuple[int, SatakeMonomial], ...]
-    v_value: SatakeMonomial
-
-    def value(self, word: HeckeWord) -> SatakeMonomial:
-        out = SatakeMonomial.p_half_power(word.p_half, self.n)
-        values = dict(self.u_values)
-        for k, e in enumerate(word.exps, start=1):
-            if e:
-                out = out * values[k] ** e
-        return (out * self.v_value ** word.v).normal_form()
-
-
 def factors_through_spin(r: Refinement, p: SpinParabolic
-                         ) -> Optional[SpinEigenvalueAssignment]:
-    """GSpin eigenvalue data through which the parahoric eigensystem factors.
+                         ) -> Optional[dict[int, SatakeMonomial]]:
+    """GSpin eigenvalues {k: alpha(U'_{p,k})} for k in X_P; V acts by eta.
 
-    Present exactly when the refinement is P-spin; the similitude
-    generator acts by eta, and each GSpin U-operator receives the
-    eigenvalue of its GL preimage.  The assignment is verified against
-    every generator of the parahoric algebra before being returned.
+    Present exactly when the refinement is P-spin.  These are
+    HeckeWord.evaluate at the zero weight (U° is U, eta_0 is eta), checked
+    through the transfer map on every generator of the parahoric algebra.
     """
     if not is_P_spin(r, p):
         return None
     n = r.n
-    u_values = tuple((k, alpha_U(r, k).normal_form()) for k in sorted(p.xp))
-    assignment = SpinEigenvalueAssignment(n, u_values, SatakeMonomial.eta_power(1, n))
+    zero = PureWeight.from_coeffs((0,) * (2 * n))
     for k in range(1, 2 * n + 1):
         if k != 2 * n and k in p.delta:
             continue
-        word = HeckeWord.generator(k, n)
-        if not assignment.value(jmath_hecke(word, p)).spin_equal(alpha_U(r, k)):
+        word = jmath_hecke(HeckeWord.generator(k, n), p)
+        if not word.evaluate(r, zero).spin_equal(alpha_U(r, k)):
             raise SelfCheckError(f"transfer check failed at U_{{p,{k}}}")
-    return assignment
+    return {k: alpha_U(r, k).normal_form() for k in sorted(p.xp)}
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +580,8 @@ def _check_slope_indices(slopes: Mapping[int, Fraction | int], n: int) -> None:
 def _slope_rows(slopes: Mapping[int, Fraction | int], lam: PureWeight, sigma: Perm,
                 tag: str) -> list[tuple[list[int], Fraction, str]]:
     n = lam.n
+    if sigma.degree != 2 * n:
+        raise ValueError("rank mismatch")
     _check_slope_indices(slopes, n)
     rows = []
     for k in sorted(slopes):
@@ -619,13 +601,13 @@ def solve_profile_joint(systems: Sequence[tuple[Perm, Mapping[int, Fraction | in
     slope contributes one linear equation through the slope formula;
     purity ties opposite entries to eta.  Free unknowns are reported (set
     to zero in the particular solution), and inconsistencies come back as
-    labeled certificates instead of a profile.
+    labeled certificates (joint labels in one-line notation) instead of a profile.
     """
     n = lam.n
     num_vars = 2 * n + 1
     rows: list[tuple[list[int], Fraction, str]] = []
     for sigma, slopes in systems:
-        tag = f"[{''.join(map(str, sigma.images))}]" if len(systems) > 1 else ""
+        tag = f"[{format_one_line(sigma)}]" if len(systems) > 1 else ""
         rows.extend(_slope_rows(slopes, lam, sigma, tag))
     for i in range(1, n + 1):
         coeffs = [0] * num_vars
@@ -648,7 +630,7 @@ def solve_profile_joint(systems: Sequence[tuple[Perm, Mapping[int, Fraction | in
         den *= row[col]
     solution = [Fraction(v, den) for v in nums]
     free = tuple(names[c] for c in range(num_vars) if c not in pivots)
-    profile = ValuationProfile(n, tuple(solution[: 2 * n]), solution[2 * n], lam.sw)
+    profile = ValuationProfile(n, tuple(solution[: 2 * n]), solution[2 * n])
     return ProfileSolution("family" if free else "unique", profile, free=free)
 
 

@@ -80,19 +80,12 @@ class Refinement:
 class ParahoricRefinement:
     """A P-parahoric refinement: a coset sigma * W_L for the parabolic P."""
 
-    n: int
     parabolic: SpinParabolic
     coset: LeviCoset
 
-    @classmethod
-    def of(cls, r: Refinement, p: SpinParabolic) -> "ParahoricRefinement":
-        if r.n != p.n:
-            raise ValueError("rank mismatch")
-        return cls(r.n, p, LeviCoset.of(r.sigma, p.delta))
-
     def extensions(self) -> list[Refinement]:
         """All Iwahori refinements lying above this parahoric one."""
-        return [Refinement(self.n, w) for w in self.coset.members()]
+        return [Refinement(self.parabolic.n, w) for w in self.coset.members()]
 
 
 @dataclass(frozen=True)
@@ -331,7 +324,9 @@ def stratify(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
 
 def parahoric_restrict(r: Refinement, p: SpinParabolic) -> ParahoricRefinement:
     """The unique P-parahoric refinement under an Iwahori refinement."""
-    return ParahoricRefinement.of(r, p)
+    if r.n != p.n:
+        raise ValueError("rank mismatch")
+    return ParahoricRefinement(p, LeviCoset.of(r.sigma, p.delta))
 
 
 def parahoric_is_spin(pr: ParahoricRefinement) -> bool:
@@ -340,7 +335,7 @@ def parahoric_is_spin(pr: ParahoricRefinement) -> bool:
     Equivalent to any (hence every) Iwahori extension being P-spin, so the
     minimal coset representative decides.
     """
-    return is_P_spin(Refinement(pr.n, pr.coset.rep), pr.parabolic)
+    return is_P_spin(Refinement(pr.parabolic.n, pr.coset.rep), pr.parabolic)
 
 
 class SwitchingInvariantError(SelfCheckError):

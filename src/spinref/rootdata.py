@@ -20,11 +20,11 @@ roots are stored doubled so all lattice arithmetic stays integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 
 class RankMismatchError(ValueError):
-    """A lattice vector has the wrong length for the ambient rank."""
+    """A lattice vector has the wrong length for its rank, or meets another rank or lattice."""
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -33,70 +33,58 @@ def _check(cond: bool, msg: str) -> None:
 
 
 @dataclass(frozen=True)
-class GLCharacter:
-    """Integer vector of length 2n in the basis e_1, ..., e_{2n}."""
+class _LatticeVector:
+    """Integer vector of a rank-n torus lattice; vectors of different lattices are unequal."""
 
     n: int
     coeffs: tuple[int, ...]
+    label: ClassVar[str]
+    length: ClassVar[str]  # "2n" on GL(2n), "n+1" on GSpin(2n+1)
 
     def __post_init__(self) -> None:
         _check(self.n >= 1, "rank must be >= 1")
-        _check(len(self.coeffs) == 2 * self.n,
-               f"GL character needs 2n={2 * self.n} entries, got {len(self.coeffs)}")
+        size = 2 * self.n if self.length == "2n" else self.n + 1
+        _check(len(self.coeffs) == size,
+               f"{self.label} needs {self.length}={size} entries, got {len(self.coeffs)}")
+
+
+class GLCharacter(_LatticeVector):
+    """Integer vector of length 2n in the basis e_1, ..., e_{2n}."""
+
+    label = "GL character"
+    length = "2n"
 
     def __add__(self, other: "GLCharacter") -> "GLCharacter":
         _check(self.n == other.n, "rank mismatch")
         return GLCharacter(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
 
-@dataclass(frozen=True)
-class GLCocharacter:
+class GLCocharacter(_LatticeVector):
     """Integer vector of length 2n in the dual basis e_1*, ..., e_{2n}*."""
 
-    n: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check(self.n >= 1, "rank must be >= 1")
-        _check(len(self.coeffs) == 2 * self.n,
-               f"GL cocharacter needs 2n={2 * self.n} entries, got {len(self.coeffs)}")
+    label = "GL cocharacter"
+    length = "2n"
 
 
-@dataclass(frozen=True)
-class GSpinCharacter:
+class GSpinCharacter(_LatticeVector):
     """Integer vector of length n+1 in the basis f_0, f_1, ..., f_n."""
 
-    n: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check(self.n >= 1, "rank must be >= 1")
-        _check(len(self.coeffs) == self.n + 1,
-               f"GSpin character needs n+1={self.n + 1} entries, got {len(self.coeffs)}")
+    label = "GSpin character"
+    length = "n+1"
 
 
-@dataclass(frozen=True)
-class GSpinCocharacter:
+class GSpinCocharacter(_LatticeVector):
     """Integer vector of length n+1 in the dual basis f_0*, ..., f_n*."""
 
-    n: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check(self.n >= 1, "rank must be >= 1")
-        _check(len(self.coeffs) == self.n + 1,
-               f"GSpin cocharacter needs n+1={self.n + 1} entries, got {len(self.coeffs)}")
+    label = "GSpin cocharacter"
+    length = "n+1"
 
 
-def pairing_gl(mu: GLCharacter, nu: GLCocharacter) -> int:
-    """Dual-basis pairing on the GL(2n) lattices."""
-    _check(mu.n == nu.n, "rank mismatch")
-    return sum(a * b for a, b in zip(mu.coeffs, nu.coeffs))
-
-
-def pairing_gspin(mu: GSpinCharacter, nu: GSpinCocharacter) -> int:
-    """Dual-basis pairing on the GSpin(2n+1) lattices."""
-    _check(mu.n == nu.n, "rank mismatch")
+def pairing(mu: GLCharacter | GSpinCharacter, nu: GLCocharacter | GSpinCocharacter) -> int:
+    """Dual-basis pairing of a character with a cocharacter of the same lattice and rank."""
+    _check((type(mu), type(nu)) in ((GLCharacter, GLCocharacter),
+                                     (GSpinCharacter, GSpinCocharacter)) and mu.n == nu.n,
+           f"cannot pair a rank-{mu.n} {mu.label} with a rank-{nu.n} {nu.label}")
     return sum(a * b for a, b in zip(mu.coeffs, nu.coeffs))
 
 
@@ -142,7 +130,7 @@ def jmath_vee_cochar(nu: GLCocharacter, n: int) -> GSpinCocharacter:
     coeffs = []
     for i in range(n + 1):
         basis = GSpinCharacter(n, tuple(1 if k == i else 0 for k in range(n + 1)))
-        coeffs.append(pairing_gl(jmath_char(basis, n), nu))
+        coeffs.append(pairing(jmath_char(basis, n), nu))
     return GSpinCocharacter(n, tuple(coeffs))
 
 
@@ -183,22 +171,15 @@ class PureWeight:
     def __post_init__(self) -> None:
         _check(len(self.coeffs) == 2 * self.n,
                f"weight needs 2n={2 * self.n} entries, got {len(self.coeffs)}")
-        for i in range(self.n):
-            if self.coeffs[i] + self.coeffs[2 * self.n - 1 - i] != self.sw:
-                raise ValueError(
-                    f"not pure: entries {i + 1} and {2 * self.n - i} sum to "
-                    f"{self.coeffs[i] + self.coeffs[2 * self.n - 1 - i]}, expected sw={self.sw}")
+        if is_pure(GLCharacter(self.n, self.coeffs)) != self.sw:
+            raise ValueError(f"weight {self.coeffs} is not pure")
 
     @classmethod
     def from_coeffs(cls, coeffs: tuple[int, ...] | list[int]) -> "PureWeight":
         coeffs = tuple(coeffs)
         if len(coeffs) % 2 != 0 or not coeffs:
             raise ValueError("pure weight needs an even, positive number of entries")
-        n = len(coeffs) // 2
-        sw = is_pure(GLCharacter(n, coeffs))
-        if sw is None:
-            raise ValueError(f"weight {coeffs} is not pure")
-        return cls(n, coeffs, sw)
+        return cls(len(coeffs) // 2, coeffs, coeffs[0] + coeffs[-1])
 
     @property
     def is_dominant(self) -> bool:

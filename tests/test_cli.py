@@ -233,6 +233,10 @@ class TestSlopes:
         ("123456", "3,1,-1,-3", "1=1", (), 1, "weight and permutation ranks differ"),
         ("1234", "3,1,-1,-3", "1=1,2=1,3=1", ("--parabolic", "1,1,1,1,1,1"), 1,
          "composition '1,1,1,1,1,1' is for GL(6), expected GL(4)"),
+        ("1234", "3,1,-1,-3", "1=1e5000,2=0,3=0", (), 4,
+         "bad slope entry '1=1e5000': exponent notation is not accepted"),
+        ("1234", "3,1,-1,-3", "1=0,2=-2.5E-1,3=0", (), 4,
+         "bad slope entry '2=-2.5E-1': exponent notation is not accepted"),
     ])
     def test_rejected_input(self, capsys, sigma, weight, slopes, extra, code, message):
         argv = ["slopes", "--sigma", sigma, *extra]
@@ -241,6 +245,12 @@ class TestSlopes:
         if slopes is not None:
             argv += ["--slopes", slopes]
         assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+    def test_value_grammar(self, capsys):
+        code, out, _ = run(capsys, "slopes", "--sigma", "1234", "--lambda=3,1,-1,-3",
+                           "--slopes", "1=3/2,2=2.5,3=-7", "--format", "json")
+        assert code == 0
+        assert [row["slope"] for row in json.loads(out)["rows"]] == ["3/2", "5/2", "-7"]
 
 
 class TestMTau:
@@ -555,6 +565,15 @@ class TestEntryPoint:
         proc = self.spinref("zeta", "--parabolic", "1,2,1")
         assert proc.returncode == 0 and "verdict: forced vanishing" in proc.stdout
         assert proc.stderr == ""
+
+    def test_huge_exponent_refused_at_once(self):
+        # expanding 10^100000000 would take minutes; the timeout turns a
+        # regression into a failure instead of a hung suite
+        proc = self.spinref("slopes", "--sigma", "1234", "--lambda=3,1,-1,-3",
+                            "--slopes", "1=1e100000000,2=0,3=0")
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == ("error: bad slope entry '1=1e100000000': "
+                               "exponent notation is not accepted\n")
 
     def test_malformed_permutation(self):
         proc = self.spinref("info", "--sigma", "1135")

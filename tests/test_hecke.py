@@ -20,7 +20,7 @@ from spinref.parabolic import SpinParabolic, all_spin_parabolics
 from spinref.refine import GammaMap, Refinement, gamma, is_P_spin, is_r_spin, \
     optimal_parabolic, to_B_spin
 from spinref.rootdata import PureWeight
-from spinref.weyl import Perm
+from spinref.weyl import Perm, format_one_line
 
 LAM = PureWeight.from_coeffs((12, 1, -1, -12))
 ZERO4 = PureWeight.from_coeffs((0, 0, 0, 0))
@@ -112,6 +112,11 @@ class TestNormalForm:
         assert str(m) == "p^{-3/2} * θ_2 * η^2"
         assert m.to_json() == {"half_p": -3, "theta": [0, 1, 0, 0], "eta": 2}
         assert str(SatakeMonomial.one(2)) == "1"
+
+    def test_str_powers_and_eta(self):
+        # theta powers other than 1, and eta to the first power
+        assert str(SatakeMonomial(2, 3, (2, 0, 0, -1), 1)) == "p^{3/2} * θ_1^2 * θ_4^-1 * η"
+        assert str(SatakeMonomial(2, -4, (0, 1, 0, 0), -2)) == "p^-2 * θ_2 * η^-2"
 
 
 class TestSpinRelation:
@@ -307,18 +312,23 @@ class TestHeckeWord:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_assignment_value_multiplicative(self, n):
+        # the GSpin eigenvalues are HeckeWord.evaluate at the zero weight:
+        # U'_{p,k} by the returned alpha(U_{p,k}), V by eta, multiplicatively
+        zero = PureWeight.from_coeffs((0,) * (2 * n))
         similitude = [HeckeWord(n, (0,) * (2 * n), v=e) for e in (-1, 1)]
         for p in all_spin_parabolics(n):
             words = [HeckeWord.generator(k, n, e) for k in sorted(p.xp) for e in (-1, 1, 2)]
             words += similitude
             for r in sample_refinements(n):
-                assignment = factors_through_spin(r, p)
-                if assignment is None:
+                values = factors_through_spin(r, p)
+                if values is None:
                     continue
+                for k in p.xp:
+                    assert HeckeWord.generator(k, n).evaluate(r, zero).spin_equal(values[k])
                 for x in words:
                     for y in words:
-                        assert assignment.value(x * y).spin_equal(
-                            assignment.value(x) * assignment.value(y))
+                        assert (x * y).evaluate(r, zero).spin_equal(
+                            x.evaluate(r, zero) * y.evaluate(r, zero))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_transfer_keeps_normalized_eigenvalues(self, n):
@@ -337,10 +347,12 @@ class TestHeckeWord:
 
 class TestFactorsThroughSpin:
     def test_identity_any_parabolic(self):
+        identity = Refinement.identity(2)
         for p in all_spin_parabolics(2):
-            a = factors_through_spin(Refinement.identity(2), p)
-            assert a is not None
-            assert a.v_value == SatakeMonomial.eta_power(1, 2)
+            assert factors_through_spin(identity, p) == \
+                {k: alpha_U(identity, k).normal_form() for k in sorted(p.xp)}
+        assert HeckeWord(2, (0,) * 4, v=1).evaluate(identity, ZERO4) == \
+            SatakeMonomial.eta_power(1, 2)
 
     def test_2314_q_absent(self):
         q = SpinParabolic.from_composition((2, 2))
@@ -426,7 +438,7 @@ class TestSlope:
 
     def test_full_level_pure(self):
         lam = PureWeight.from_coeffs((3, 2, 1, 0))
-        prof = ValuationProfile.of([2, 1, 2, 1], eta_val=3, sw=lam.sw)
+        prof = ValuationProfile.of([2, 1, 2, 1], eta_val=3)
         assert prof.is_pure
         v = slope(Refinement.identity(2), 4, lam, prof)
         assert v == 2 * lam.sw + 2 * prof.eta_val
@@ -439,7 +451,7 @@ class TestSlope:
                 eta_val = Fraction(rng.randint(-4, 4))
                 t = [Fraction(rng.randint(-12, 12), rng.choice((1, 2))) for _ in range(n)]
                 t = t + [eta_val - v for v in reversed(t)]
-                prof = ValuationProfile(n, tuple(t), eta_val, lam.sw)
+                prof = ValuationProfile(n, tuple(t), eta_val)
                 sigma = Perm(tuple(rng.sample(range(1, 2 * n + 1), 2 * n)))
                 r = Refinement(n, sigma)
                 slopes = {k: slope(r, k, lam, prof) for k in range(1, 2 * n + 1)}
@@ -461,7 +473,7 @@ class TestSlope:
                 eta_val = Fraction(rng.randint(-4, 4))
                 t = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
                 t = t + [eta_val - v for v in reversed(t)]
-                prof = ValuationProfile(n, tuple(t), eta_val, lam.sw)
+                prof = ValuationProfile(n, tuple(t), eta_val)
                 sigma = Perm(tuple(rng.sample(range(1, 2 * n + 1), 2 * n)))
                 r = Refinement(n, sigma)
                 declared = sorted(rng.sample(range(1, 2 * n + 1), n))
@@ -487,6 +499,24 @@ class TestSolveProfile:
                                Fraction(23, 2), Fraction(-1, 2))
         b = solve_profile({1: 11, 2: 0, 3: 1}, LAM, Perm((2, 1, 3, 4)))
         assert b.status == "unique"
+
+    @pytest.mark.parametrize("sigma", [Perm((5, 1, 2, 3, 4)), Perm((1, 2, 3))])
+    def test_rank_mismatch(self, sigma):
+        lam = PureWeight.from_coeffs((3, 1, -1, -3))
+        with pytest.raises(ValueError, match="rank mismatch"):
+            solve_profile({1: 1, 2: 0}, lam, sigma)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            solve_profile_joint([(Perm.identity(4), {1: 1}), (sigma, {1: 1})], lam)
+
+    def test_joint_labels_distinct_from_2n_12(self):
+        # concatenated digits would name both refinements 111234567891012
+        a = Perm((1, 11, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12))
+        b = Perm((11, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12))
+        sol = solve_profile_joint([(a, {2: 0}), (b, {2: 1})], PureWeight.from_coeffs((0,) * 12))
+        assert sol.status == "inconsistent"
+        assert [row.describe() for row in sol.certificate] == [
+            "(-1)*[slope[1,11,2,3,4,5,6,7,8,9,10,12]:U_2]"
+            " + (1)*[slope[11,1,2,3,4,5,6,7,8,9,10,12]:U_2] = 1 != 0"]
 
     def test_gl4_joint_system_certificate(self):
         systems = [(Perm.identity(4), {1: 11, 2: 0, 3: 11}),
@@ -567,7 +597,7 @@ def reference_solve(systems, lam):
     num_vars = 2 * n + 1
     rows = []
     for sigma, slopes in systems:
-        tag = f"[{''.join(map(str, sigma.images))}]" if len(systems) > 1 else ""
+        tag = f"[{format_one_line(sigma)}]" if len(systems) > 1 else ""
         for k in sorted(slopes):
             coeffs = [Fraction(0)] * num_vars
             for j in range(1, k + 1):
@@ -593,7 +623,7 @@ def reference_solve(systems, lam):
             acc -= coeffs[c] * solution[c]
         solution[col] = acc / coeffs[col]
     free = tuple(names[c] for c in range(num_vars) if c not in pivots)
-    profile = ValuationProfile(n, tuple(solution[: 2 * n]), solution[2 * n], lam.sw)
+    profile = ValuationProfile(n, tuple(solution[: 2 * n]), solution[2 * n])
     return ProfileSolution("family" if free else "unique", profile, free=free)
 
 
@@ -611,7 +641,7 @@ def random_profile(rng, lam):
     n = lam.n
     eta = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
     half = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
-    return ValuationProfile(n, tuple(half + [eta - v for v in reversed(half)]), eta, lam.sw)
+    return ValuationProfile(n, tuple(half + [eta - v for v in reversed(half)]), eta)
 
 
 class TestSolverMatchesReference:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinref.rootdata import (GLCharacter, GLCocharacter, GSpinCharacter, PureWeight,
-                              RankMismatchError, is_pure, jmath_char, jmath_char_inverse,
-                              jmath_vee_cochar, pairing_gl, pairing_gspin, rho_doubled)
+from spinref.rootdata import (GLCharacter, GLCocharacter, GSpinCharacter, GSpinCocharacter,
+                              PureWeight, RankMismatchError, is_pure, jmath_char,
+                              jmath_char_inverse, jmath_vee_cochar, pairing, rho_doubled)
 
 
 def gl(coeffs):
@@ -69,8 +69,7 @@ class TestJmathVee:
             n, tuple(data.draw(st.integers(-8, 8)) for _ in range(n + 1)))
         nu = GLCocharacter(
             n, tuple(data.draw(st.integers(-8, 8)) for _ in range(2 * n)))
-        assert pairing_gspin(mu, jmath_vee_cochar(nu, n)) == \
-            pairing_gl(jmath_char(mu, n), nu)
+        assert pairing(mu, jmath_vee_cochar(nu, n)) == pairing(jmath_char(mu, n), nu)
 
     def test_adjunction_all_basis_pairs(self):
         for n in (1, 2, 3, 4):
@@ -80,8 +79,42 @@ class TestJmathVee:
                 for j in range(2 * n):
                     nu = GLCocharacter(n, tuple(
                         1 if k == j else 0 for k in range(2 * n)))
-                    assert pairing_gspin(mu, jmath_vee_cochar(nu, n)) == \
-                        pairing_gl(jmath_char(mu, n), nu)
+                    assert pairing(mu, jmath_vee_cochar(nu, n)) == \
+                        pairing(jmath_char(mu, n), nu)
+
+
+class TestLattices:
+    def test_pairing_refuses_mismatched_lattices(self):
+        for mu, nu in [
+                (GLCharacter(2, (1, 0, 0, 5)), GSpinCocharacter(2, (1, 0, 0))),
+                (GSpinCharacter(2, (1, 0, 0)), GLCocharacter(2, (1, 0, 0, 5))),
+                (GLCharacter(1, (1, 2)), GSpinCocharacter(1, (3, 4))),  # same length
+                (GLCharacter(1, (1, 2)), GLCharacter(1, (3, 4))),
+                (GLCharacter(1, (1, 2)), GLCocharacter(2, (1, 0, 0, 0))),
+                (GSpinCharacter(2, (1, 0, 0)), GSpinCocharacter(3, (1, 0, 0, 0)))]:
+            with pytest.raises(RankMismatchError, match="cannot pair"):
+                pairing(mu, nu)
+        assert pairing(GLCharacter(1, (1, 2)), GLCocharacter(1, (3, 4))) == 11
+        assert pairing(GSpinCharacter(1, (1, 2)), GSpinCocharacter(1, (3, 4))) == 11
+
+    def test_lattices_told_apart(self):
+        assert GLCharacter(1, (1, 2)) != GLCocharacter(1, (1, 2))
+        assert GSpinCharacter(1, (1, 2)) != GSpinCocharacter(1, (1, 2))
+        assert GLCharacter(1, (1, 2)) != GSpinCharacter(1, (1, 2))
+        assert GLCharacter(1, (1, 2)) == GLCharacter(1, (1, 2))
+
+    @pytest.mark.parametrize("cls, size, rule", [
+        (GLCharacter, 4, "GL character needs 2n=4"),
+        (GLCocharacter, 4, "GL cocharacter needs 2n=4"),
+        (GSpinCharacter, 3, "GSpin character needs n\\+1=3"),
+        (GSpinCocharacter, 3, "GSpin cocharacter needs n\\+1=3")])
+    def test_wrong_length_refused(self, cls, size, rule):
+        assert cls(2, (0,) * size).coeffs == (0,) * size
+        for wrong in (size - 1, size + 1):
+            with pytest.raises(RankMismatchError, match=rule):
+                cls(2, (0,) * wrong)
+        with pytest.raises(RankMismatchError, match="rank must be >= 1"):
+            cls(0, ())
 
 
 class TestRho:
