@@ -18,6 +18,8 @@ diff cleanly.  Exit codes: 1 other usage errors (bad arguments included),
 2 rank bound exceeded (classify, mtau) or classify's stratum buffers larger
 than physical memory, 3 malformed permutation, 4 missing, malformed or
 duplicate slope data, 5 non-spin composition, 6 failed internal self-check.
+An error message quotes at most QUOTE_CAP (60) characters of an input value,
+followed by "…", and names a number too long for int() by its digit limit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from fractions import Fraction
 
 from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profile)
 from .intertwine import m_tau_expansion, zeta_support_verdict
-from .parabolic import NotSpinError, SelfCheckError, SpinParabolic, format_xp, parse_composition
+from .parabolic import (NotSpinError, SelfCheckError, SpinParabolic, format_xp, parse_composition,
+                        pure_parabolic_dim)
 from .refine import (DEFAULT_ENUMERATION_BOUND, EnumerationBoundError, Refinement,
                      gamma, optimal_parabolic, stratum_words, to_B_spin)
 from .rootdata import PureWeight
@@ -55,24 +58,63 @@ class CliError(Exception):
 # Argument parsing helpers.
 # ---------------------------------------------------------------------------
 
+# An error message quotes at most this many characters of an input value.
+QUOTE_CAP = 60
+
+
+def _cut(text: str) -> str:
+    """text, or its first QUOTE_CAP characters followed by "…" when longer."""
+    return text if len(text) <= QUOTE_CAP else text[:QUOTE_CAP] + "…"
+
+
+def _too_long(text: str) -> str | None:
+    """Names a run of digits in text past Python's int() limit, else None."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
+        return f"more than {limit} digits"
+    return None
+
+
+def _why(exc: Exception, text: str) -> str:
+    """Why text was refused: exc's message, cut like a quote when text is long.
+
+    A too-long number and a zero denominator are named in plain words
+    instead of CPython's advice and Fraction(1, 0).
+    """
+    if isinstance(exc, ZeroDivisionError):
+        return "zero denominator"
+    return _too_long(text) or (str(exc) if len(text) <= QUOTE_CAP else _cut(str(exc)))
+
+
+def _int(text: str) -> int:
+    """type= of the int options: argparse's refusal text, with the value cut."""
+    try:
+        return int(text)
+    except ValueError:
+        reason = _too_long(text)
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_cut(text)!r}" + (f" ({reason})" if reason else "")) from None
+
+
 def _parse_sigma(text: str) -> Refinement:
     try:
         return Refinement.from_one_line(text)
     except ValueError as exc:
-        raise CliError(f"malformed permutation: {exc}", EXIT_BAD_PERM) from exc
+        raise CliError(f"malformed permutation: {_why(exc, text)}", EXIT_BAD_PERM) from exc
 
 
 def _parse_weight(text: str) -> PureWeight:
     try:
         coeffs = tuple(int(piece) for piece in text.split(","))
     except ValueError as exc:
-        raise CliError(f"bad weight {text!r}: integers expected") from exc
+        raise CliError(f"bad weight {_cut(text)!r}: "
+                       f"{_too_long(text) or 'integers expected'}") from exc
     try:
         lam = PureWeight.from_coeffs(coeffs)
     except ValueError as exc:
-        raise CliError(f"bad weight: {exc}") from exc
+        raise CliError(f"bad weight: {_why(exc, text)}") from exc
     if not lam.is_dominant:
-        raise CliError(f"weight {text!r} is not dominant")
+        raise CliError(f"weight {_cut(text)!r} is not dominant")
     return lam
 
 
@@ -83,19 +125,20 @@ def _parse_slopes(text: str) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for piece in text.split(","):
         if "=" not in piece:
-            raise CliError(f"bad slope entry {piece!r}: expected index=value",
+            raise CliError(f"bad slope entry {_cut(piece)!r}: expected index=value",
                            EXIT_MISSING_DATA)
         key, _, value = piece.partition("=")
         if _EXPONENT.search(value):
             # Fraction would expand 1e100000000 digit by digit, for minutes
-            raise CliError(f"bad slope entry {piece!r}: exponent notation is not accepted",
+            raise CliError(f"bad slope entry {_cut(piece)!r}: exponent notation is not accepted",
                            EXIT_MISSING_DATA)
         try:
             index, slope = int(key), Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad slope entry {piece!r}: {exc}", EXIT_MISSING_DATA) from exc
+            raise CliError(f"bad slope entry {_cut(piece)!r}: {_why(exc, piece)}",
+                           EXIT_MISSING_DATA) from exc
         if index in out:
-            raise CliError(f"duplicate slope index {index}", EXIT_MISSING_DATA)
+            raise CliError(f"duplicate slope index {_cut(str(index))}", EXIT_MISSING_DATA)
         out[index] = slope
     return out
 
@@ -105,11 +148,11 @@ def _parse_parabolic(text: str, n: int | None = None) -> SpinParabolic:
         parts = parse_composition(text)
         p = SpinParabolic.from_composition(parts)
     except NotSpinError as exc:
-        raise CliError(str(exc), EXIT_NOT_SPIN) from exc
+        raise CliError(_why(exc, text), EXIT_NOT_SPIN) from exc
     except ValueError as exc:
-        raise CliError(f"bad composition {text!r}: {exc}") from exc
+        raise CliError(f"bad composition {_cut(text)!r}: {_why(exc, text)}") from exc
     if n is not None and p.n != n:
-        raise CliError(f"composition {text!r} is for GL({2 * p.n}), expected GL({2 * n})")
+        raise CliError(f"composition {_cut(text)!r} is for GL({2 * p.n}), expected GL({2 * n})")
     return p
 
 
@@ -159,11 +202,11 @@ def _joined_one_line(words: bytes, N: int, sep: str) -> str:
 def cmd_classify(args) -> int:
     n = args.n
     if n < 1:
-        raise CliError(f"--n must be >= 1, got {n}")
+        raise CliError(f"--n must be >= 1, got {_cut(str(n))}")
     try:
         strata = stratum_words(n, args.bound)
     except EnumerationBoundError as exc:
-        raise CliError(str(exc), EXIT_BOUND) from exc
+        raise CliError(_why(exc, f"--n {n} --bound {args.bound}"), EXIT_BOUND) from exc
     N = 2 * n
     order = sorted(strata, key=lambda p: (-len(p.xp), p.composition))
     sizes = {p: len(strata[p]) // N for p in order}
@@ -189,7 +232,7 @@ def cmd_classify(args) -> int:
         for index, p in enumerate(order):
             quote = '"' if sizes[p] else ""
             write_row(p, f'{", " if index else ""}{{"parabolic": {json.dumps(p.label())}, '
-                         f'"xp": {json.dumps(sorted(p.xp))}, "dim": {len(p.xp) + 1}, '
+                         f'"xp": {json.dumps(sorted(p.xp))}, "dim": {pure_parabolic_dim(p)}, '
                          f'"size": {sizes[p]}, "members": [{quote}', '", "', f"{quote}]}}")
         out.write("]}\n")
     elif args.format == "csv":
@@ -200,7 +243,7 @@ def cmd_classify(args) -> int:
         writer.writerow(["parabolic", "xp", "dim", "size", "members"])
         for p in order:
             out.write("\n")
-            writer.writerow([p.label(), format_xp(p.xp), len(p.xp) + 1, sizes[p], ""])
+            writer.writerow([p.label(), format_xp(p.xp), pure_parabolic_dim(p), sizes[p], ""])
             quote = '"' if N > 9 and sizes[p] else ""
             write_row(p, quote, " ", quote)
         out.write("\n")
@@ -212,7 +255,7 @@ def cmd_classify(args) -> int:
         print(f"{'parabolic':<{width + 2}}{'X_P':<{xp_width + 2}}dim  size  members")
         for p in order:
             head = (f"{p.label():<{width + 2}}{format_xp(p.xp):<{xp_width + 2}}"
-                    f"{len(p.xp) + 1:<5}{sizes[p]:<6}")
+                    f"{pure_parabolic_dim(p):<5}{sizes[p]:<6}")
             write_row(p, head if sizes[p] else head.rstrip(), " ", "\n")
         counts = ", ".join(f"{p.label()}: {sizes[p]}" for p in order)
         print(f"totals: {counts}")
@@ -234,7 +277,7 @@ def refinement_report(r: Refinement) -> dict:
         "gamma": list(gamma(r).values),
         "optimal": profile.optimal.label(),
         "optimal_xp": sorted(profile.optimal.xp),
-        "dim": len(profile.optimal.xp) + 1,
+        "dim": pure_parabolic_dim(profile.optimal),
         "b_spin_target": target.one_line(),
         "tau": [list(t) for t in taus],
         "alpha_u": {str(k): dict(a.normal_form().to_json(), str=str(a))
@@ -285,6 +328,8 @@ def cmd_slopes(args) -> int:
         audit = non_critical_slope(lam, slopes, parabolic)
     except MissingSlopeError as exc:
         raise CliError(str(exc), EXIT_MISSING_DATA) from exc
+    except ValueError as exc:  # a slope index outside 1..2n
+        raise CliError(_why(exc, args.slopes)) from exc
 
     payload = {
         "sigma": r.one_line(),
@@ -331,7 +376,7 @@ def cmd_slopes(args) -> int:
 def cmd_zeta(args) -> int:
     p = _parse_parabolic(args.parabolic)
     if args.beta < 1:
-        raise CliError(f"--beta must be a positive integer, got {args.beta}")
+        raise CliError(f"--beta must be a positive integer, got {_cut(str(args.beta))}")
     verdict = zeta_support_verdict(p, args.beta)
     payload = {
         "parabolic": p.label(),
@@ -368,9 +413,9 @@ DEFAULT_MTAU_BOUND = 4
 def cmd_mtau(args) -> int:
     p = _parse_parabolic(args.parabolic)
     if args.n is not None and args.n != p.n:
-        raise CliError(f"--n {args.n} disagrees with the composition (rank {p.n})")
+        raise CliError(f"--n {_cut(str(args.n))} disagrees with the composition (rank {p.n})")
     if p.n > args.bound:
-        raise CliError(f"n={p.n} exceeds the mtau bound {args.bound}; "
+        raise CliError(f"n={p.n} exceeds the mtau bound {_cut(str(args.bound))}; "
                        f"raise the bound explicitly", EXIT_BOUND)
     expansion, prenorm = m_tau_expansion(p.n, p)
     rows = sorted(((format_one_line(coset.rep), str(coeff))
@@ -398,11 +443,21 @@ class _ArgumentParser(argparse.ArgumentParser):
     """Raises usage errors as CliError (exit 1), not argparse's exit 2.
 
     Exit 2 is the code for an exceeded rank bound.  Subparsers are built
-    from this class too.
+    from this class too.  A bad choice or a leftover argument is quoted cut.
     """
 
     def error(self, message: str):
         raise CliError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {_cut(' '.join(extra))}")
+        return parsed
+
+    def _check_value(self, action, value):
+        # a value longer than the cap is no choice, and its cut form is none either
+        super()._check_value(action, _cut(value) if isinstance(value, str) else value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="stratify all refinements by optimal parabolic")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
+    c.add_argument("--n", type=_int, required=True)
+    c.add_argument("--bound", type=_int, default=DEFAULT_ENUMERATION_BOUND)
     c.add_argument("--format", choices=["table", "json", "csv"], default="table")
     c.set_defaults(func=cmd_classify)
 
@@ -434,15 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     z = sub.add_parser("zeta", help="twisted zeta-integral support verdict")
     z.add_argument("--parabolic", required=True)
-    z.add_argument("--beta", type=int, default=1)
+    z.add_argument("--beta", type=_int, default=1)
     z.add_argument("--format", choices=["table", "json"], default="table")
     z.set_defaults(func=cmd_zeta)
 
     m = sub.add_parser("mtau", help="intertwined parahoric eigenvector expansion")
     m.add_argument("--parabolic", required=True,
                    help="spin composition contained in the (n,n)-parabolic")
-    m.add_argument("--n", type=int, help="cross-check of the rank")
-    m.add_argument("--bound", type=int, default=DEFAULT_MTAU_BOUND,
+    m.add_argument("--n", type=_int, help="cross-check of the rank")
+    m.add_argument("--bound", type=_int, default=DEFAULT_MTAU_BOUND,
                    help="largest rank to compute (default %(default)s)")
     m.add_argument("--format", choices=["table", "json"], default="table")
     m.set_defaults(func=cmd_mtau)

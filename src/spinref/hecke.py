@@ -459,13 +459,13 @@ def char_poly_roots(p: SpinParabolic, k: int, group: str = "GL"
         roots = [alpha_U(Refinement(n, rep), k).normal_form() for rep in reps]
     elif group == "GSpin":
         gens: list[SignedPerm] = []
-        for i in range(1, n + 1):
-            if i in p.xp:
-                continue
+        for i in set(range(1, n + 1)) - p.xp:  # the Levi's simple reflections
+            word = list(range(1, n + 1))
             if i < n:
-                gens.append(SignedPerm.from_perm(Perm.transposition(i, i + 1, n)))
+                word[i - 1], word[i] = i + 1, i
             else:
-                gens.append(SignedPerm.sign_flip(n, n))
+                word[-1] = -n
+            gens.append(SignedPerm(tuple(word)))
         subgroup = generate_subgroup(gens, SignedPerm.identity(n))
         seen: set[frozenset] = set()
         roots = []

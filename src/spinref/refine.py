@@ -268,8 +268,10 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
     N = 2 * n
     need, have = factorial(N) * N, _physical_memory()
     if have is not None and need > have:
+        # a factorial past 60 digits: str() refuses more than 4300, which n >= 779 reach
+        shown = need if need < 10 ** 60 else f"({N})! * {N}"
         raise EnumerationBoundError(
-            f"n={n} needs {need} bytes of stratum buffers, more than the {have} bytes "
+            f"n={n} needs {shown} bytes of stratum buffers, more than the {have} bytes "
             f"of physical memory")
     width, fill, guard, head_bits, tail_bits = _sweep_layout(n)
     top = (n - 1) * width

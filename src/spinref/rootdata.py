@@ -55,7 +55,8 @@ class GLCharacter(_LatticeVector):
     length = "2n"
 
     def __add__(self, other: "GLCharacter") -> "GLCharacter":
-        _check(self.n == other.n, "rank mismatch")
+        _check(type(other) is GLCharacter and other.n == self.n,
+               f"cannot add a rank-{other.n} {other.label} to a rank-{self.n} {self.label}")
         return GLCharacter(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
 

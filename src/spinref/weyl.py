@@ -159,93 +159,62 @@ def parse_one_line(text: str) -> Perm:
 
 @dataclass(frozen=True)
 class SignedPerm:
-    """Element of {+-1}^n x| S_n: a sign vector and a permutation of {1..n}.
+    """Element of {+-1}^n x| S_n as its signed one-line word.
 
-    Internally this is the odd bijection f of {-n..-1, 1..n} with
-    f(i) = signs[perm(i)] * perm(i) for i > 0; multiplication is
-    composition of these bijections.
+    word[i-1] = f(i) for the odd bijection f of {-n..-1, 1..n} that the
+    element is; multiplication is composition of these bijections.
     """
 
-    signs: tuple[int, ...]
-    perm: Perm
+    word: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.signs) != self.perm.degree:
-            raise ValueError("sign vector and permutation sizes differ")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +-1")
+        n = len(self.word)
+        if sorted(abs(v) for v in self.word) != list(range(1, n + 1)):
+            raise ValueError(f"not a signed permutation of 1..{n}: {self.word}")
 
     @classmethod
     def identity(cls, n: int) -> "SignedPerm":
-        return cls((1,) * n, Perm.identity(n))
+        return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def sign_flip(cls, i: int, n: int) -> "SignedPerm":
-        return cls(tuple(-1 if k == i else 1 for k in range(1, n + 1)), Perm.identity(n))
-
-    @classmethod
-    def from_perm(cls, p: Perm) -> "SignedPerm":
-        return cls((1,) * p.degree, p)
+        return cls(tuple(-k if k == i else k for k in range(1, n + 1)))
 
     @property
     def n(self) -> int:
-        return self.perm.degree
-
-    def signed_image(self, i: int) -> int:
-        """f(i) for i in {-n..-1, 1..n}."""
-        if i > 0:
-            j = self.perm(i)
-            return self.signs[j - 1] * j
-        return -self.signed_image(-i)
+        return len(self.word)
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        n = self.n
-        new_perm = [0] * n
-        new_signs = [1] * n
-        for i in range(1, n + 1):
-            v = self.signed_image(other.signed_image(i))
-            new_perm[i - 1] = abs(v)
-            new_signs[abs(v) - 1] = 1 if v > 0 else -1
-        return SignedPerm(tuple(new_signs), Perm(tuple(new_perm)))
+        w = self.word
+        return SignedPerm(tuple(w[v - 1] if v > 0 else -w[-v - 1] for v in other.word))
 
     def inverse(self) -> "SignedPerm":
-        n = self.n
-        new_perm = [0] * n
-        new_signs = [1] * n
-        for i in range(1, n + 1):
-            v = self.signed_image(i)
-            new_perm[abs(v) - 1] = i
-            new_signs[i - 1] = 1 if v > 0 else -1
-        return SignedPerm(tuple(new_signs), Perm(tuple(new_perm)))
+        inv = [0] * self.n
+        for i, v in enumerate(self.word, start=1):
+            inv[abs(v) - 1] = i if v > 0 else -i
+        return SignedPerm(tuple(inv))
 
 
 def enumerate_signed_perms(n: int) -> Iterator[SignedPerm]:
+    """Each permutation of 1..n with each sign vector; value v takes signs[v-1]."""
     for images in permutations(range(1, n + 1)):
         for signs in product((1, -1), repeat=n):
-            yield SignedPerm(signs, Perm(images))
+            yield SignedPerm(tuple(signs[v - 1] * v for v in images))
 
 
 def embed_wg0(s: SignedPerm, n: int) -> Perm:
     """Embed a signed permutation as an element of S_{2n} preserving purity.
 
-    The pair {i, 2n+1-i} goes to the pair {j, 2n+1-j} for j = perm(i),
-    exchanged when signs[j] = -1.
+    The head (positions 1..n) is the word read modulo 2n+1, so -j lands
+    on 2n+1-j; the tail is the reversed complement of the head.
     """
     if s.n != n:
         raise RankMismatchError(f"signed perm has size {s.n}, expected {n}")
-    N = 2 * n
-    images = [0] * N
-    for i in range(1, n + 1):
-        j = s.perm(i)
-        if s.signs[j - 1] == 1:
-            images[i - 1] = j
-            images[N - i] = N + 1 - j
-        else:
-            images[i - 1] = N + 1 - j
-            images[N - i] = j
-    return Perm(tuple(images))
+    M = 2 * n + 1
+    head = [v % M for v in s.word]
+    return Perm(tuple(head + [M - v for v in reversed(head)]))
 
 
 def in_wg0(sigma: Perm) -> Optional[SignedPerm]:
@@ -260,17 +229,7 @@ def in_wg0(sigma: Perm) -> Optional[SignedPerm]:
     for i in range(1, n + 1):
         if sigma(i) + sigma(N + 1 - i) != N + 1:
             return None
-    perm = [0] * n
-    signs = [1] * n
-    for i in range(1, n + 1):
-        v = sigma(i)
-        if v <= n:
-            perm[i - 1] = v
-            signs[v - 1] = 1
-        else:
-            perm[i - 1] = N + 1 - v
-            signs[N - v] = -1
-    return SignedPerm(tuple(signs), Perm(tuple(perm)))
+    return SignedPerm(tuple(v if v <= n else v - N - 1 for v in sigma.images[:n]))
 
 
 def enumerate_wg0(n: int) -> list[Perm]:
@@ -410,48 +369,29 @@ def generate_subgroup(gens: list, identity):
 # Weyl action on the GSpin lattices.
 # ---------------------------------------------------------------------------
 
-def _act_sign_char(i: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    # sign flip in slot i: f_0 -> f_0 + f_i, f_i -> -f_i, other f_j fixed
-    out = list(coeffs)
-    out[i] = coeffs[0] - coeffs[i]
-    return tuple(out)
-
-
-def _act_perm_char(p: Perm, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    # f_i -> f_{p^{-1}(i)}, i.e. coefficient vector composes with p
-    return (coeffs[0],) + tuple(coeffs[p(i)] for i in range(1, len(coeffs)))
-
-
-def _act_signed(w: SignedPerm, x, flip_sign, kind: str):
-    """Apply w's sign flips with the rule flip_sign, then its permutation."""
-    if w.n != x.n:
-        raise RankMismatchError(f"rank mismatch: element has n={w.n}, {kind} n={x.n}")
-    coeffs = x.coeffs
-    for i in range(1, w.n + 1):
-        if w.signs[i - 1] == -1:
-            coeffs = flip_sign(i, coeffs)
-    return type(x)(x.n, _act_perm_char(w.perm, coeffs))
-
-
 def gspin_weyl_act(w: SignedPerm, chi: GSpinCharacter) -> GSpinCharacter:
     """Right action chi^w on GSpin characters.
 
     Generator rules: the S_n part permutes f_1, ..., f_n (fixing f_0) and
-    the i-th sign sends f_0 to f_0 + f_i and f_i to -f_i.  Composition is
-    arranged so that transfer to GL intertwines this with the index action
-    there: j(chi^w) = j(chi)^{embed(w)}.
+    the i-th sign sends f_0 to f_0 + f_i and f_i to -f_i.  So slot i takes
+    c_{w(i)}, or c_0 - c_{-w(i)} when w(i) < 0.  Composition is arranged so
+    that transfer to GL intertwines this with the index action there:
+    j(chi^w) = j(chi)^{embed(w)}.
     """
-    return _act_signed(w, chi, _act_sign_char, "character")
-
-
-def _act_sign_cochar(i: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    # sign flip in slot i: f_0* fixed, f_i* -> f_0* - f_i*
-    out = list(coeffs)
-    out[0] = coeffs[0] + coeffs[i]
-    out[i] = -coeffs[i]
-    return tuple(out)
+    if w.n != chi.n:
+        raise RankMismatchError(f"rank mismatch: element has n={w.n}, character n={chi.n}")
+    c = chi.coeffs
+    return GSpinCharacter(chi.n, (c[0],) + tuple(c[v] if v > 0 else c[0] - c[-v] for v in w.word))
 
 
 def gspin_weyl_act_cochar(w: SignedPerm, nu: GSpinCocharacter) -> GSpinCocharacter:
-    """Right action nu^w on GSpin cocharacters (dual to gspin_weyl_act)."""
-    return _act_signed(w, nu, _act_sign_cochar, "cocharacter")
+    """Right action nu^w on GSpin cocharacters (dual to gspin_weyl_act).
+
+    Slot i takes c_{w(i)}, or -c_{-w(i)} when w(i) < 0; the f_0* coefficient
+    gains c_{-w(i)} for every negative entry.
+    """
+    if w.n != nu.n:
+        raise RankMismatchError(f"rank mismatch: element has n={w.n}, cocharacter n={nu.n}")
+    c = nu.coeffs
+    c0 = c[0] + sum(c[-v] for v in w.word if v < 0)
+    return GSpinCocharacter(nu.n, (c0,) + tuple(c[v] if v > 0 else -c[-v] for v in w.word))

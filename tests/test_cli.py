@@ -70,6 +70,10 @@ class TestClassify:
         assert code == 2 and out == ""
         assert err == ("error: n=3 needs 4320 bytes of stratum buffers, more than the "
                        "4319 bytes of physical memory\n")
+        # (2000)! * 2000 has more digits than str() of an int allows
+        assert run(capsys, "classify", "--n", "1000", "--bound", "1000") == (
+            2, "", "error: n=1000 needs (2000)! * 2000 bytes of stratum buffers, more than "
+                   "the 4319 bytes of physical memory\n")
         monkeypatch.setattr(refine, "_physical_memory", lambda: 4320)
         code, out, _ = run(capsys, "classify", "--n", "3", "--format", "json")
         assert code == 0 and json.loads(out)["total"] == 720
@@ -474,6 +478,50 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+
+ONES = "1" * 5000
+SLOPES = ["slopes", "--sigma", "1234", "--lambda=3,1,-1,-3", "--slopes"]
+
+
+class TestLongInput:
+    """An error line quotes at most cli.QUOTE_CAP characters of an input value."""
+
+    @pytest.mark.parametrize("code, argv", [
+        (4, [*SLOPES, f"1={ONES},2=0,3=0"]),
+        (4, [*SLOPES, "1=" + "x" * 5000]),
+        (4, [*SLOPES, "x" * 5000 + "=1"]),
+        (1, [*SLOPES, "1" * 4000 + "=1"]),
+        (1, ["slopes", "--sigma", "1234", f"--lambda={ONES},1,-1,-3", "--slopes", "1=0"]),
+        (1, ["zeta", "--parabolic", ONES]),
+        (3, ["info", "--sigma", f"1,{ONES}"]),
+        (3, ["info", "--sigma", "1," + "x" * 5000]),
+        (1, ["classify", "--n", ONES]),
+        (1, ["classify", "--n", "2", "--bound", ONES]),
+        (1, ["mtau", "--parabolic", "2,2", "--bound", ONES]),
+        (1, ["zeta", "--parabolic", "2,2", "--beta", ONES]),
+        (1, ["classify", "--n", "-" + "1" * 4000]),
+        (1, ["classify", "--n", "2", "--format", "x" * 5000]),
+        (1, ["classify", "--n", "2", "y" * 5000]),
+    ])
+    def test_one_short_line(self, capsys, code, argv):
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert_one_error_line(err)
+        assert len(err) < 200 and "set_int_max_str_digits" not in err
+
+    def test_digit_limit_named(self, capsys):
+        _, _, err = run(capsys, "zeta", "--parabolic", "2,2", "--beta", ONES)
+        assert err == (f"error: argument --beta: invalid int value: '{ONES[:cli.QUOTE_CAP]}…' "
+                       f"(more than {sys.get_int_max_str_digits()} digits)\n")
+
+    def test_zero_denominator_named(self, capsys):
+        assert run(capsys, *SLOPES, "1=1/0") == (
+            4, "", "error: bad slope entry '1=1/0': zero denominator\n")
+
+    def test_short_int_option_keeps_argparse_text(self, capsys):
+        assert run(capsys, "classify", "--n", "12x") == (
+            1, "", "error: argument --n: invalid int value: '12x'\n")
 
 
 class TestParserReuse:

@@ -97,6 +97,17 @@ class TestLattices:
         assert pairing(GLCharacter(1, (1, 2)), GLCocharacter(1, (3, 4))) == 11
         assert pairing(GSpinCharacter(1, (1, 2)), GSpinCocharacter(1, (3, 4))) == 11
 
+    def test_gl_character_sum_refuses_other_lattices_and_ranks(self):
+        mu = GLCharacter(1, (1, 2))
+        for other, text in [
+                (GLCocharacter(1, (3, 4)), "rank-1 GL cocharacter"),
+                (GSpinCharacter(1, (3, 4)), "rank-1 GSpin character"),
+                (GLCharacter(2, (3, 4, 5, 6)), "rank-2 GL character")]:
+            with pytest.raises(RankMismatchError,
+                               match=f"cannot add a {text} to a rank-1 GL character"):
+                mu + other
+        assert mu + GLCharacter(1, (3, 4)) == GLCharacter(1, (4, 6))
+
     def test_lattices_told_apart(self):
         assert GLCharacter(1, (1, 2)) != GLCocharacter(1, (1, 2))
         assert GSpinCharacter(1, (1, 2)) != GSpinCocharacter(1, (1, 2))

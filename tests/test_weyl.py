@@ -5,7 +5,7 @@ import random
 import pytest
 
 from spinref.rootdata import GLCharacter, GLCocharacter, GSpinCharacter, GSpinCocharacter, \
-    jmath_char, jmath_vee_cochar
+    RankMismatchError, jmath_char, jmath_vee_cochar
 from spinref.weyl import (LeviCoset, Perm, SignedPerm, Trichotomy, composition_delta,
                           coset_min_rep, embed_wg0, enumerate_signed_perms, format_one_line,
                           gspin_weyl_act, gspin_weyl_act_cochar, in_wg0,
@@ -121,7 +121,7 @@ class TestEmbedding:
     def test_in_wg0_example(self):
         s = in_wg0(Perm((4, 2, 3, 1)))
         assert s is not None
-        assert s.signs == (-1, 1) and s.perm == Perm.identity(2)
+        assert s.word == (-1, 2)
 
     def test_pairing_characterization_counts(self):
         # permutations with sigma(i) + sigma(2n+1-i) = 2n+1 number 2^n n!
@@ -277,3 +277,30 @@ class TestSignedPermGroup:
         for _ in range(60):
             a, b, c = (rng.choice(elems) for _ in range(3))
             assert (a * b) * c == a * (b * c)
+
+    def test_sign_flip_word(self):
+        assert SignedPerm.sign_flip(1, 2).word == (-1, 2)
+
+
+class TestSignedPermRefusals:
+    @pytest.mark.parametrize("word", [(1, 1), (0, 2), (1, 3), (2, -2)])
+    def test_refuses_non_signed_permutation(self, word):
+        with pytest.raises(ValueError, match="not a signed permutation"):
+            SignedPerm(word)
+
+    def test_product_refuses_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            SignedPerm.identity(2) * SignedPerm.identity(3)
+
+    def test_embedding_refuses_rank_mismatch(self):
+        with pytest.raises(RankMismatchError):
+            embed_wg0(SignedPerm.identity(2), 3)
+
+    def test_actions_refuse_rank_mismatch(self):
+        w = SignedPerm((2, -1))
+        with pytest.raises(RankMismatchError,
+                           match="rank mismatch: element has n=2, character n=3"):
+            gspin_weyl_act(w, GSpinCharacter(3, (0, 1, 2, 3)))
+        with pytest.raises(RankMismatchError,
+                           match="rank mismatch: element has n=2, cocharacter n=3"):
+            gspin_weyl_act_cochar(w, GSpinCocharacter(3, (0, 1, 2, 3)))
