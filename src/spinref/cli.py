@@ -15,8 +15,9 @@ Subcommands:
 
 Output is deterministic (members sorted by one-line notation) so tables
 diff cleanly.  Exit codes: 1 other usage errors (bad arguments included),
-2 rank bound exceeded (classify, mtau) or classify's stratum buffers larger
-than physical memory, 3 malformed permutation, 4 missing, malformed or
+2 rank bound exceeded (classify, mtau), classify's stratum buffers larger
+than physical memory, or a composition whose Levi cannot fit in physical
+memory (zeta, slopes, mtau), 3 malformed permutation, 4 missing, malformed or
 duplicate slope data, 5 non-spin composition, 6 failed internal self-check.
 An error message quotes at most QUOTE_CAP (60) characters of an input value,
 followed by "…", and names a number too long for int() by its digit limit.
@@ -34,8 +35,8 @@ from fractions import Fraction
 
 from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profile)
 from .intertwine import m_tau_expansion, zeta_support_verdict
-from .parabolic import (NotSpinError, SelfCheckError, SpinParabolic, format_xp, parse_composition,
-                        pure_parabolic_dim)
+from .parabolic import (NotSpinError, RankMemoryError, SelfCheckError, SpinParabolic, format_xp,
+                        parse_composition, pure_parabolic_dim)
 from .refine import (DEFAULT_ENUMERATION_BOUND, EnumerationBoundError, Refinement,
                      gamma, optimal_parabolic, stratum_words, to_B_spin)
 from .rootdata import PureWeight
@@ -147,6 +148,8 @@ def _parse_parabolic(text: str, n: int | None = None) -> SpinParabolic:
     try:
         parts = parse_composition(text)
         p = SpinParabolic.from_composition(parts)
+    except RankMemoryError as exc:
+        raise CliError(str(exc), EXIT_BOUND) from exc
     except NotSpinError as exc:
         raise CliError(_why(exc, text), EXIT_NOT_SPIN) from exc
     except ValueError as exc:
@@ -195,7 +198,7 @@ def _joined_one_line(words: bytes, N: int, sep: str) -> str:
         out[offset::stride] = column
     del out[len(out) - len(sep):]
     if N > 9:
-        out = out.replace(b"\0", b"")
+        out = out.translate(None, b"\0")
     return out.decode("ascii")
 
 

@@ -13,6 +13,7 @@ modeled: a non-spin delta is refused when the parabolic is built.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -26,6 +27,18 @@ class NotSpinError(ValueError):
 
 class SelfCheckError(RuntimeError):
     """An internal self-check failed: the computation, not the input, is at fault."""
+
+
+class RankMemoryError(ValueError):
+    """A composition whose Levi's simple roots cannot fit in physical memory."""
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -60,14 +73,30 @@ class SpinParabolic:
 
     @classmethod
     def from_composition(cls, parts: Iterable[int]) -> "SpinParabolic":
-        """Spin parabolic with Levi GL(m_1) x ... x GL(m_r); m must be a palindrome."""
+        """Spin parabolic with Levi GL(m_1) x ... x GL(m_r); m must be a palindrome.
+
+        Both the palindrome and the size of delta, 2n - r indices, are
+        checked before delta is built: one huge part would otherwise fill
+        memory.  Building delta peaks at about 100 bytes per index (an int
+        object, the set's table as it grows, the frozenset's copy; 99 to 116
+        measured on 64-bit CPython 3.11), so a rank for which 100 bytes per
+        index exceed physical memory raises RankMemoryError.
+        """
         parts = tuple(parts)
         if not parts or any(m <= 0 for m in parts):
             raise ValueError(f"composition parts must be positive, got {parts}")
         total = sum(parts)
         if total % 2 != 0:
             raise ValueError(f"composition must sum to an even number, got {total}")
-        return cls(total // 2, composition_delta(parts))
+        if parts != parts[::-1]:
+            raise NotSpinError(f"composition {parts} is not symmetric around the middle")
+        n, have = total // 2, physical_memory()
+        if have is not None and 100 * (total - len(parts)) > have:
+            shown = f"n={n}" if n < 10 ** 60 else "n above 10^60"
+            raise RankMemoryError(
+                f"rank {shown} needs more than the {have} bytes of physical memory for "
+                f"the Levi of its composition")
+        return cls(n, composition_delta(parts))
 
     @classmethod
     def from_xp(cls, x: Iterable[int], n: int) -> "SpinParabolic":

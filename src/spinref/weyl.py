@@ -139,7 +139,7 @@ def parse_one_line(text: str) -> Perm:
     images = []
     for pos, part in enumerate(parts, start=1):
         part = part.strip()
-        if not part.isdigit():
+        if not part.isdecimal():
             raise ValueError(f"position {pos}: {part!r} is not a digit")
         images.append(int(part))
     N = len(images)

@@ -2,9 +2,12 @@ import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -74,6 +77,17 @@ class TestClassify:
         assert run(capsys, "classify", "--n", "1000", "--bound", "1000") == (
             2, "", "error: n=1000 needs (2000)! * 2000 bytes of stratum buffers, more than "
                    "the 4319 bytes of physical memory\n")
+        # below 10^60 the figure is exact, however small the memory
+        assert run(capsys, "classify", "--n", "20", "--bound", "20") == (
+            2, "", f"error: n=20 needs {factorial(40) * 40} bytes of stratum buffers, "
+                   f"more than the 4319 bytes of physical memory\n")
+        # (400000)! * 400000 multiplied out took over a second; the product
+        # stops once it passes both the memory figure and 10^60
+        start = time.perf_counter()
+        assert run(capsys, "classify", "--n", "200000", "--bound", "200000") == (
+            2, "", "error: n=200000 needs (400000)! * 400000 bytes of stratum buffers, "
+                   "more than the 4319 bytes of physical memory\n")
+        assert time.perf_counter() - start < 0.5
         monkeypatch.setattr(refine, "_physical_memory", lambda: 4320)
         code, out, _ = run(capsys, "classify", "--n", "3", "--format", "json")
         assert code == 0 and json.loads(out)["total"] == 720
@@ -166,6 +180,9 @@ class TestInfo:
         assert code == 3 and "position 3" in err
         code, _, err = run(capsys, "info", "--sigma", "21435")
         assert code == 3
+        # '²'.isdigit() holds, but int() refuses it
+        assert run(capsys, "info", "--sigma", "1,²") == (
+            3, "", "error: malformed permutation: position 2: '²' is not a digit\n")
 
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "info", "--sigma", "2134", "--format", "table")
@@ -603,11 +620,17 @@ class TestSelfCheckFailure:
         assert "identity-coset coefficient vanished" in err
 
 
+def _cap_address_space():
+    # 1 GB: a regression that fills memory fails fast in the child alone
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 class TestEntryPoint:
     def spinref(self, *argv):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         return subprocess.run([sys.executable, "-m", "spinref", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=_cap_address_space)
 
     def test_zeta(self):
         proc = self.spinref("zeta", "--parabolic", "1,2,1")
@@ -622,6 +645,23 @@ class TestEntryPoint:
         assert proc.returncode == 4 and proc.stdout == ""
         assert proc.stderr == ("error: bad slope entry '1=1e100000000': "
                                "exponent notation is not accepted\n")
+
+    # A part of 4000 digits: building its delta would fill memory, so these
+    # inputs run only here, in a child with a timeout and a memory cap.
+    HUGE = "1" * 4000
+
+    def test_huge_non_palindromic_composition_refused_at_once(self):
+        proc = self.spinref("zeta", "--parabolic", f"1,2,{self.HUGE}")
+        assert proc.returncode == 5 and proc.stdout == ""
+        assert proc.stderr == ("error: " + f"composition (1, 2, {self.HUGE}"[:cli.QUOTE_CAP]
+                               + "…\n")
+
+    @pytest.mark.parametrize("command", ["zeta", "mtau"])
+    def test_huge_palindromic_composition_refused_at_once(self, command):
+        proc = self.spinref(command, "--parabolic", f"{self.HUGE},{self.HUGE}")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: rank n above 10^60 needs more than the ")
+        assert proc.stderr.endswith(" bytes of physical memory for the Levi of its composition\n")
 
     def test_malformed_permutation(self):
         proc = self.spinref("info", "--sigma", "1135")

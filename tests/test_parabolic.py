@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from spinref.parabolic import (NotSpinError, SpinParabolic, all_spin_parabolics,
+from spinref import parabolic
+from spinref.parabolic import (NotSpinError, RankMemoryError, SpinParabolic, all_spin_parabolics,
                                alpha_basis_decompose, crit_range, critical_shift,
                                format_xp, parse_composition, pure_basis_weights,
                                pure_parabolic_dim, weight_in_parabolic_coset)
@@ -34,6 +35,28 @@ class TestConstruction:
             SpinParabolic.from_composition((1, 3, 2))
         with pytest.raises(NotSpinError):
             SpinParabolic(2, frozenset({1}))
+
+    def test_delta_above_memory_refused(self, monkeypatch):
+        # building delta takes about 100 bytes for each of its 2n - r indices
+        monkeypatch.setattr(parabolic, "physical_memory", lambda: 100 * 4)
+        assert SpinParabolic.from_composition((3, 3)).delta == frozenset({1, 2, 4, 5})
+        with pytest.raises(RankMemoryError, match=r"^rank n=5 needs more than the 400 bytes "
+                                                  r"of physical memory for the Levi of its "
+                                                  r"composition$"):
+            SpinParabolic.from_composition((1, 4, 4, 1))
+        # the palindrome is checked first
+        with pytest.raises(NotSpinError):
+            SpinParabolic.from_composition((1, 3, 6))
+
+    def test_huge_composition_refused_before_delta(self, monkeypatch):
+        def build(parts):
+            raise AssertionError("delta built")
+
+        monkeypatch.setattr(parabolic, "composition_delta", build)
+        with pytest.raises(NotSpinError, match=r"^composition \(1, 2, 1000"):
+            SpinParabolic.from_composition((1, 2, 10 ** 4000 + 1))
+        with pytest.raises(RankMemoryError, match=r"^rank n above 10\^60 needs more than"):
+            SpinParabolic.from_composition((10 ** 4000, 10 ** 4000))
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_from_composition_round_trip(self, N):

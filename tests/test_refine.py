@@ -195,11 +195,25 @@ class TestStratify:
             stratify(2)
 
     def test_members_sorted_and_spin_exactly_xp(self):
-        for p, members in stratify(3).items():
-            images = [r.sigma.images for r in members]
-            assert images == sorted(set(images))
-            for r in members:
-                assert {k for k in range(1, 4) if is_r_spin(r, k)} == p.xp
+        for n in (3, 4):
+            for p, members in stratify(n).items():
+                images = [r.sigma.images for r in members]
+                assert images == sorted(set(images))
+                for r in members:
+                    assert {k for k in range(1, n + 1) if is_r_spin(r, k)} == p.xp
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bulk_words_match_naive_bucketing(self, n):
+        # The slow independent check of the bulk writes: each word of
+        # itertools.permutations on its own, put in the stratum of its spin set.
+        naive = {p: bytearray() for p in all_spin_parabolics(n)}
+        by_xp = {p.xp: p for p in naive}
+        for images in itertools.permutations(range(1, 2 * n + 1)):
+            naive[by_xp[spin_set(Refinement(n, Perm(images)))]] += bytes(images)
+        words = refine.stratum_words(n)
+        assert list(words) == list(naive)
+        for p, stratum in naive.items():
+            assert words[p] == stratum, p.label()
 
     def test_counts_n3(self):
         strata = stratify(3)
