@@ -16,9 +16,10 @@ Subcommands:
 Output is deterministic (members sorted by one-line notation) so tables
 diff cleanly.  Exit codes: 1 other usage errors (bad arguments included),
 2 rank bound exceeded (classify, mtau), classify's stratum buffers larger
-than physical memory, or a composition whose Levi cannot fit in physical
-memory (zeta, slopes, mtau), 3 malformed permutation, 4 missing, malformed or
-duplicate slope data, 5 non-spin composition, 6 failed internal self-check.
+than physical memory, a composition whose Levi cannot fit in physical
+memory (zeta, slopes, mtau), or a zeta verdict that cannot (zeta),
+3 malformed permutation, 4 missing, malformed or duplicate slope data,
+5 non-spin composition, 6 failed internal self-check.
 An error message quotes at most QUOTE_CAP (60) characters of an input value,
 followed by "…", and names a number too long for int() by its digit limit.
 """
@@ -32,6 +33,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profile)
 from .intertwine import m_tau_expansion, zeta_support_verdict
@@ -202,6 +204,26 @@ def _joined_one_line(words: bytes, N: int, sep: str) -> str:
     return out.decode("ascii")
 
 
+def _blocks(chunks: Iterable[bytes], size: int) -> Iterator[bytes]:
+    """The concatenation of chunks, in pieces of at most size bytes.
+
+    Chunks are joined while they fit in a piece; a larger chunk is sliced.
+    """
+    pending, held = [], 0
+    for chunk in chunks:
+        if held + len(chunk) > size:
+            if held:
+                yield b"".join(pending)
+            whole = len(chunk) - len(chunk) % size
+            for start in range(0, whole, size):
+                yield chunk[start:start + size]
+            chunk, pending, held = chunk[whole:], [], 0
+        pending.append(chunk)
+        held += len(chunk)
+    if held:
+        yield b"".join(pending)
+
+
 def cmd_classify(args) -> int:
     n = args.n
     if n < 1:
@@ -212,21 +234,22 @@ def cmd_classify(args) -> int:
         raise CliError(_why(exc, f"--n {n} --bound {args.bound}"), EXIT_BOUND) from exc
     N = 2 * n
     order = sorted(strata, key=lambda p: (-len(p.xp), p.composition))
-    sizes = {p: len(strata[p]) // N for p in order}
+    sizes = {p: strata[p][0] for p in order}
     total = sum(sizes.values())
     out = sys.stdout
 
     def write_row(p: SpinParabolic, head: str, sep: str, tail: str) -> None:
         """Write head, the stratum's members joined by sep, then tail.
 
-        The members are formatted a block at a time and the stratum's words
-        are freed once written.
+        The members are formatted MEMBERS_PER_WRITE at a time and the
+        stratum's words are freed once written.
         """
-        words = strata.pop(p)
-        step = MEMBERS_PER_WRITE * N
+        _, chunks = strata.pop(p)
         out.write(head)
-        for start in range(0, len(words), step):
-            out.write((sep if start else "") + _joined_one_line(words[start:start + step], N, sep))
+        lead = ""
+        for block in _blocks(chunks, MEMBERS_PER_WRITE * N):
+            out.write(lead + _joined_one_line(block, N, sep))
+            lead = sep
         out.write(tail)
 
     if args.format == "json":
@@ -380,7 +403,10 @@ def cmd_zeta(args) -> int:
     p = _parse_parabolic(args.parabolic)
     if args.beta < 1:
         raise CliError(f"--beta must be a positive integer, got {_cut(str(args.beta))}")
-    verdict = zeta_support_verdict(p, args.beta)
+    try:
+        verdict = zeta_support_verdict(p, args.beta)
+    except RankMemoryError as exc:
+        raise CliError(str(exc), EXIT_BOUND) from exc
     payload = {
         "parabolic": p.label(),
         "beta": args.beta,

@@ -92,6 +92,15 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--n", "3", "--format", "json")
         assert code == 0 and json.loads(out)["total"] == 720
 
+    def test_g_count_mismatch_exits_6_before_output(self, capsys, monkeypatch):
+        wrong = refine.stratum_counts(3)
+        wrong[frozenset()] -= 1
+        monkeypatch.setattr(refine, "stratum_counts", lambda n: wrong)
+        for fmt in ("table", "json", "csv"):
+            assert run(capsys, "classify", "--n", "3", "--format", fmt) == (
+                6, "", "error: internal self-check failed: stratum G has 384 members, "
+                       "closed form 383\n")
+
     # SHA-256 of stdout as produced by the per-member implementation that
     # built a Perm for every refinement; the output must not change.
     PINNED = {
@@ -127,12 +136,56 @@ class TestClassify:
         assert sink.digest.hexdigest() == \
             "e2e4122cdca152e644007dcf2861a5e36846a575f657d9f52adcd24d19fd95bb"
 
+    # Runs python with the given arguments and stdout to /dev/null, then
+    # prints its exit code and peak RSS.  A fresh interpreter forks the run:
+    # a child forked from the test process would start with the test
+    # process's RSS as its peak.
+    PEAK_RSS = """if True:
+        import os, sys
+        pid = os.fork()
+        if pid == 0:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+        _, status, usage = os.wait4(pid, 0)
+        print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+    """
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_peak_rss_n5(self):
+        # G, 77.5 % of the 10! words, is held as references to shared tails,
+        # not copied: the run peaked about 18 MB above the import alone, and
+        # about 40 MB when G was one buffer
+        def peak_kib(*argv):
+            proc = subprocess.run([sys.executable, "-c", self.PEAK_RSS, *argv],
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                  capture_output=True, text=True, timeout=60,
+                                  preexec_fn=_cap_address_space)
+            code, kib = map(int, proc.stdout.split())
+            assert code == 0
+            return kib
+
+        base = peak_kib("-c", "import spinref.cli")
+        excess = peak_kib("-m", "spinref", "classify", "--n", "5", "--format", "csv") - base
+        assert excess <= 32 * 1024, f"{excess / 1024:.1f} MB above the import"
+
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_pinned_digest_written_in_small_blocks(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr(cli, "MEMBERS_PER_WRITE", 7)
-        code, out, _ = run(capsys, "classify", "--n", "3", "--format", fmt)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[3, fmt]
+        # at 1 member a block, every chunk of G (up to 3! members) is sliced
+        for members in (7, 1):
+            monkeypatch.setattr(cli, "MEMBERS_PER_WRITE", members)
+            code, out, _ = run(capsys, "classify", "--n", "3", "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[3, fmt]
+
+    def test_blocks_rejoin_to_the_chunks(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            size = rng.randint(1, 12)
+            chunks = [rng.randbytes(rng.choice([0, 1, 5, size, size + 1, 3 * size + 2]))
+                      for _ in range(rng.randint(0, 6))]
+            blocks = list(cli._blocks(chunks, size))
+            assert b"".join(blocks) == b"".join(chunks)
+            assert all(0 < len(block) <= size for block in blocks)
 
     @pytest.mark.parametrize("N", [2, 4, 8, 10, 12, 14])
     @pytest.mark.parametrize("sep", [" ", '", "'])
@@ -363,6 +416,24 @@ class TestZeta:
     def test_beta_validated(self, capsys):
         code, _, err = run(capsys, "zeta", "--parabolic", "2,2", "--beta", "0")
         assert code == 1 and "positive" in err
+
+    def test_memory_refusal(self, capsys, monkeypatch):
+        # (3,3) at beta 1: delta's 4 indices and the 2 blocks at 100 bytes,
+        # and per unit of n 32 + 4 * (8 + 32) + 2 * (64 + 1 + 1) = 324 for
+        # exponents of 3 bits (2 * beta * blocks = 4): 600 + 3 * 324 = 1572
+        monkeypatch.setattr(intertwine, "_physical_memory", lambda: 1571)
+        assert run(capsys, "zeta", "--parabolic", "3,3") == (
+            2, "", "error: zeta at n=3 needs about 1572 bytes, more than the 1571 bytes "
+                   "of physical memory\n")
+        monkeypatch.setattr(intertwine, "_physical_memory", lambda: 1572)
+        code, out, _ = run(capsys, "zeta", "--parabolic", "3,3")
+        assert code == 0 and "no forced vanishing" in out
+        # a beta of 300 digits makes the exponents ints of 999 bits: per unit
+        # of n, 32 + 4 * (8 + 32 + 4 * 33) + 2 * (64 + 333 + 1) = 1516
+        monkeypatch.setattr(intertwine, "_physical_memory", lambda: 5000)
+        assert run(capsys, "zeta", "--parabolic", "3,3", "--beta", "9" * 300) == (
+            2, "", "error: zeta at n=3 needs about 5148 bytes, more than the 5000 bytes "
+                   "of physical memory\n")
 
 
 def query_requests(kind, n, fmt):

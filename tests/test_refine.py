@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import Counter
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -20,6 +20,23 @@ ALL_S4 = [Refinement(2, Perm(images))
 def all_refinements(n):
     for images in itertools.permutations(range(1, 2 * n + 1)):
         yield Refinement(n, Perm(images))
+
+
+def stratum_counts_by_inclusion_exclusion(n):
+    """The slow oracle for stratum_counts: the same closed form, with
+    inclusion-exclusion summed over every superset of every X, O(4^n)."""
+    subsets = [frozenset(c) for size in range(n + 1)
+               for c in itertools.combinations(range(1, n + 1), size)]
+    at_least = {}
+    for x in subsets:
+        count, prev = 1, 0
+        for r in sorted(x):
+            d, m = r - prev, n - prev
+            count *= comb(m, d) * 2 ** d * factorial(d) ** 2
+            prev = r
+        at_least[x] = count * factorial(2 * (n - prev))
+    return {x: sum((-1) ** len(y - x) * at_least[y] for y in subsets if x <= y)
+            for x in subsets}
 
 
 class TestGamma:
@@ -180,11 +197,20 @@ class TestStratify:
         assert sizes == stratum_counts(n)
 
     def test_closed_form_totals(self):
-        for n in range(1, 13):
+        for n in (*range(1, 13), 16):
             counts = stratum_counts(n)
             assert len(counts) == 2 ** n
             assert sum(counts.values()) == factorial(2 * n)
             assert counts[frozenset(range(1, n + 1))] == 2 ** n * factorial(n)
+            # r-spin at r = n-1 (vacuous at r = 0) leaves one pair
+            # {v, 2n+1-v} for the middle positions n and n+1, which makes the
+            # refinement n-spin too; every other stratum is occupied
+            for x, count in counts.items():
+                assert (count == 0) == ((n - 1 in x or n == 1) and n not in x), (n, x)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_form_matches_inclusion_exclusion_oracle(self, n):
+        assert stratum_counts(n) == stratum_counts_by_inclusion_exclusion(n)
 
     def test_count_mismatch_raises(self, monkeypatch):
         wrong = stratum_counts(2)
@@ -193,6 +219,16 @@ class TestStratify:
         monkeypatch.setattr(refine, "stratum_counts", lambda n: wrong)
         with pytest.raises(StratumCountError):
             stratify(2)
+
+    def test_g_count_mismatch_raises(self, monkeypatch):
+        # G is counted from its parts, not from a buffer; a wrong closed form
+        # for G alone is still caught
+        wrong = stratum_counts(3)
+        wrong[frozenset()] += 1
+        monkeypatch.setattr(refine, "stratum_counts", lambda n: wrong)
+        with pytest.raises(StratumCountError, match=r"^stratum G has 384 members, "
+                                                    r"closed form 385$"):
+            refine.stratum_words(3)
 
     def test_members_sorted_and_spin_exactly_xp(self):
         for n in (3, 4):
@@ -213,7 +249,9 @@ class TestStratify:
         words = refine.stratum_words(n)
         assert list(words) == list(naive)
         for p, stratum in naive.items():
-            assert words[p] == stratum, p.label()
+            size, chunks = words[p]
+            assert b"".join(chunks) == stratum, p.label()
+            assert size * 2 * n == len(stratum), p.label()
 
     def test_counts_n3(self):
         strata = stratify(3)
