@@ -14,10 +14,11 @@ Subcommands:
   coefficients.
 
 Output is deterministic (members sorted by one-line notation) so tables
-diff cleanly.  Exit codes: 1 other usage errors (bad arguments included),
-2 rank bound exceeded (classify, mtau), classify's stratum buffers larger
-than physical memory, a composition whose Levi cannot fit in physical
-memory (zeta, slopes, mtau), or a zeta verdict that cannot (zeta),
+diff cleanly.  Exit codes: 1 other usage errors (bad arguments included,
+and a --n or --bound below 1), 2 rank bound exceeded (classify, mtau),
+classify's stratum buffers larger than physical memory, a composition
+whose Levi cannot fit in physical memory (zeta, slopes, mtau), or a zeta
+verdict that cannot (zeta),
 3 malformed permutation, 4 missing, malformed or duplicate slope data,
 5 non-spin composition, 6 failed internal self-check.
 An error message quotes at most QUOTE_CAP (60) characters of an input value,
@@ -32,8 +33,8 @@ import functools
 import json
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profile)
 from .intertwine import m_tau_expansion, zeta_support_verdict
@@ -97,6 +98,12 @@ def _int(text: str) -> int:
         reason = _too_long(text)
         raise argparse.ArgumentTypeError(
             f"invalid int value: {_cut(text)!r}" + (f" ({reason})" if reason else "")) from None
+
+
+def _check_bound(bound: int) -> None:
+    """A --bound below 1 is a usage error, not a bound that every rank exceeds."""
+    if bound < 1:
+        raise CliError(f"--bound must be >= 1, got {_cut(str(bound))}")
 
 
 def _parse_sigma(text: str) -> Refinement:
@@ -228,6 +235,7 @@ def cmd_classify(args) -> int:
     n = args.n
     if n < 1:
         raise CliError(f"--n must be >= 1, got {_cut(str(n))}")
+    _check_bound(args.bound)
     try:
         strata = stratum_words(n, args.bound)
     except EnumerationBoundError as exc:
@@ -440,6 +448,7 @@ DEFAULT_MTAU_BOUND = 4
 
 
 def cmd_mtau(args) -> int:
+    _check_bound(args.bound)
     p = _parse_parabolic(args.parabolic)
     if args.n is not None and args.n != p.n:
         raise CliError(f"--n {_cut(str(args.n))} disagrees with the composition (rank {p.n})")

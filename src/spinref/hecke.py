@@ -24,11 +24,11 @@ the declared equations summing to a contradiction) rather than guessing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
 
+from ._value import Value, set_field
 from .parabolic import SelfCheckError, SpinParabolic
 from .refine import GammaMap, Refinement, gamma, is_P_spin
 from .rootdata import PureWeight
@@ -40,18 +40,22 @@ from .weyl import Perm, SignedPerm, coset_min_rep, embed_wg0, enumerate_signed_p
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SatakeMonomial:
+class SatakeMonomial(Value):
     """p^{half_p/2} * prod theta_i^{theta[i-1]} * eta^{eta}."""
 
+    __slots__ = ("n", "half_p", "theta", "eta")
     n: int
     half_p: int
     theta: tuple[int, ...]
-    eta: int = 0
+    eta: int
 
-    def __post_init__(self) -> None:
-        if len(self.theta) != 2 * self.n:
+    def __init__(self, n: int, half_p: int, theta: tuple[int, ...], eta: int = 0) -> None:
+        if len(theta) != 2 * n:
             raise ValueError("theta exponent vector must have length 2n")
+        set_field(self, "n", n)
+        set_field(self, "half_p", half_p)
+        set_field(self, "theta", theta)
+        set_field(self, "eta", eta)
 
     @classmethod
     def one(cls, n: int) -> "SatakeMonomial":
@@ -60,14 +64,6 @@ class SatakeMonomial:
     @classmethod
     def p_half_power(cls, a: int, n: int) -> "SatakeMonomial":
         return cls(n, a, (0,) * (2 * n))
-
-    @classmethod
-    def theta_symbol(cls, i: int, n: int) -> "SatakeMonomial":
-        return cls(n, 0, tuple(1 if k == i else 0 for k in range(1, 2 * n + 1)))
-
-    @classmethod
-    def eta_power(cls, m: int, n: int) -> "SatakeMonomial":
-        return cls(n, 0, (0,) * (2 * n), m)
 
     @classmethod
     def eta0_power(cls, m: int, sw: int, n: int) -> "SatakeMonomial":
@@ -108,14 +104,6 @@ class SatakeMonomial:
     def spin_equal(self, other: "SatakeMonomial") -> bool:
         return self.normal_form() == other.normal_form()
 
-    def subst_theta(self, a: int, b: int, half_shift: int = 0) -> "SatakeMonomial":
-        """Substitute theta_a -> p^{half_shift/2} * theta_b (for building test data)."""
-        e = self.theta[a - 1]
-        th = list(self.theta)
-        th[a - 1] = 0
-        th[b - 1] += e
-        return SatakeMonomial(self.n, self.half_p + e * half_shift, tuple(th), self.eta)
-
     def valuation(self, prof: "ValuationProfile") -> Fraction:
         if prof.n != self.n:
             raise ValueError("rank mismatch")
@@ -146,17 +134,20 @@ class SatakeMonomial:
         return {"half_p": self.half_p, "theta": list(self.theta), "eta": self.eta}
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(Value):
     """Rational valuations t_i = v_p(theta_i(p)), plus v_p(eta(p))."""
 
+    __slots__ = ("n", "t", "eta_val")
     n: int
     t: tuple[Fraction, ...]
-    eta_val: Fraction = Fraction(0)
+    eta_val: Fraction
 
-    def __post_init__(self) -> None:
-        if len(self.t) != 2 * self.n:
+    def __init__(self, n: int, t: tuple[Fraction, ...], eta_val: Fraction = Fraction(0)) -> None:
+        if len(t) != 2 * n:
             raise ValueError("profile must have length 2n")
+        set_field(self, "n", n)
+        set_field(self, "t", t)
+        set_field(self, "eta_val", eta_val)
 
     @classmethod
     def zero(cls, n: int) -> "ValuationProfile":
@@ -213,30 +204,12 @@ def spin_relation_check(r: Refinement, k: int, lam: PureWeight) -> bool:
     return lhs.spin_equal(rhs)
 
 
-def theta_from_ratios(r: Refinement, k: int, lam: Optional[PureWeight] = None
-                      ) -> SatakeMonomial:
-    """Recover theta_{sigma(k)} from the eigenvalue ratio at levels k, k-1.
-
-    The raw form p^{(2n-2k+1)/2} alpha(U_k)/alpha(U_{k-1}) and the
-    normalized form with the extra p^{-lambda_k} agree exactly; both are
-    computed and cross-checked when a weight is supplied.
-    """
-    n = r.n
-    raw = SatakeMonomial.p_half_power(2 * n - 2 * k + 1, n) * alpha_U(r, k) / alpha_U(r, k - 1)
-    if lam is not None:
-        norm = (SatakeMonomial.p_half_power(2 * n - 2 * k + 1 - 2 * lam.coeffs[k - 1], n)
-                * alpha_U_circ(r, k, lam) / alpha_U_circ(r, k - 1, lam))
-        if norm != raw:
-            raise SelfCheckError("raw and normalized theta recoveries disagree")
-    return raw
-
-
 # ---------------------------------------------------------------------------
 # The gamma-uniqueness scan through Hecke relations.
 # ---------------------------------------------------------------------------
 
 def gamma_relation_holds(r: Refinement, g: GammaMap, s: int,
-                         lam: Optional[PureWeight] = None) -> bool:
+                         lam: PureWeight | None = None) -> bool:
     """The level-s eigenvalue relation characterizing the pairing map.
 
     Raw form:
@@ -281,7 +254,7 @@ class GammaScanAmbiguous(GammaScanError):
         self.candidates = candidates
 
 
-def gamma_uniqueness_scan(r: Refinement, prof: Optional[ValuationProfile] = None
+def gamma_uniqueness_scan(r: Refinement, prof: ValuationProfile | None = None
                           ) -> GammaMap:
     """Find the injective map g satisfying gamma_relation_holds for all s <= n.
 
@@ -332,8 +305,7 @@ def gamma_uniqueness_scan(r: Refinement, prof: Optional[ValuationProfile] = None
 # Hecke words and the transfer homomorphism.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeckeWord:
+class HeckeWord(Value):
     """p^{p_half/2} * prod U_k^{exps[k-1]} * V^v, with negative exponents allowed.
 
     On the GL side U_k is U_{p,k} (or its normalization U°_{p,k}) and v = 0;
@@ -341,14 +313,19 @@ class HeckeWord:
     generator V.
     """
 
+    __slots__ = ("n", "exps", "p_half", "v")
     n: int
     exps: tuple[int, ...]
-    p_half: int = 0
-    v: int = 0
+    p_half: int
+    v: int
 
-    def __post_init__(self) -> None:
-        if len(self.exps) != 2 * self.n:
+    def __init__(self, n: int, exps: tuple[int, ...], p_half: int = 0, v: int = 0) -> None:
+        if len(exps) != 2 * n:
             raise ValueError("exponent vector must have length 2n")
+        set_field(self, "n", n)
+        set_field(self, "exps", exps)
+        set_field(self, "p_half", p_half)
+        set_field(self, "v", v)
 
     @classmethod
     def generator(cls, k: int, n: int, power: int = 1) -> "HeckeWord":
@@ -418,7 +395,7 @@ def jmath_hecke(word: HeckeWord, p: SpinParabolic) -> HeckeWord:
 
 
 def factors_through_spin(r: Refinement, p: SpinParabolic
-                         ) -> Optional[dict[int, SatakeMonomial]]:
+                         ) -> dict[int, SatakeMonomial] | None:
     """GSpin eigenvalues {k: alpha(U'_{p,k})} for k in X_P; V acts by eta.
 
     Present exactly when the refinement is P-spin.  These are
@@ -500,34 +477,43 @@ def slope(r: Refinement, k: int, lam: PureWeight, prof: ValuationProfile) -> Fra
     return alpha_U_circ(r, k, lam).valuation(prof)
 
 
-@dataclass(frozen=True)
-class CertificateRow:
+class CertificateRow(Value):
     """One violated relation: a combination of declared equations with residual != 0."""
 
+    __slots__ = ("combination", "residual")
     combination: tuple[tuple[str, Fraction], ...]
     residual: Fraction
+
+    def __init__(self, combination: tuple[tuple[str, Fraction], ...],
+                 residual: Fraction) -> None:
+        set_field(self, "combination", combination)
+        set_field(self, "residual", residual)
 
     def describe(self) -> str:
         terms = " + ".join(f"({c})*[{label}]" for label, c in self.combination)
         return f"{terms} = {self.residual} != 0"
 
 
-@dataclass(frozen=True)
-class ProfileSolution:
+class ProfileSolution(Value):
     """Outcome of inverting the slope formula.
 
     status is "unique", "family" (underdetermined: free directions listed)
     or "inconsistent" (certificate rows name the violated relations).
     """
 
+    __slots__ = ("status", "profile", "free", "certificate")
     status: str
-    profile: Optional[ValuationProfile]
-    free: tuple[str, ...] = ()
-    certificate: tuple[CertificateRow, ...] = ()
+    profile: ValuationProfile | None
+    free: tuple[str, ...]
+    certificate: tuple[CertificateRow, ...]
 
-    @property
-    def consistent(self) -> bool:
-        return self.status != "inconsistent"
+    def __init__(self, status: str, profile: ValuationProfile | None,
+                 free: tuple[str, ...] = (), certificate: tuple[CertificateRow, ...] = ()
+                 ) -> None:
+        set_field(self, "status", status)
+        set_field(self, "profile", profile)
+        set_field(self, "free", free)
+        set_field(self, "certificate", certificate)
 
 
 def _eliminate(rows: list[tuple[list[int], Fraction, str]], num_vars: int):
@@ -644,18 +630,28 @@ class MissingSlopeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SlopeBoundRow:
+class SlopeBoundRow(Value):
+    __slots__ = ("index", "bound", "value", "ok")
     index: int
     bound: int
     value: Fraction
     ok: bool
 
+    def __init__(self, index: int, bound: int, value: Fraction, ok: bool) -> None:
+        set_field(self, "index", index)
+        set_field(self, "bound", bound)
+        set_field(self, "value", value)
+        set_field(self, "ok", ok)
 
-@dataclass(frozen=True)
-class NonCriticalAudit:
+
+class NonCriticalAudit(Value):
+    __slots__ = ("ok", "rows")
     ok: bool
     rows: tuple[SlopeBoundRow, ...]
+
+    def __init__(self, ok: bool, rows: tuple[SlopeBoundRow, ...]) -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "rows", rows)
 
 
 def non_critical_slope(lam: PureWeight, slopes: Mapping[int, Fraction | int],
@@ -686,10 +682,14 @@ def non_critical_slope(lam: PureWeight, slopes: Mapping[int, Fraction | int],
 # Reducibility and regularity loci.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairFlags:
+class PairFlags(Value):
+    __slots__ = ("reducible", "regular_fail")
     reducible: bool
     regular_fail: bool
+
+    def __init__(self, reducible: bool, regular_fail: bool) -> None:
+        set_field(self, "reducible", reducible)
+        set_field(self, "regular_fail", regular_fail)
 
 
 def build_circ_alphas(r: Refinement, lam: PureWeight) -> dict[int, SatakeMonomial]:

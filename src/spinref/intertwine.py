@@ -27,9 +27,9 @@ middle (n, n) one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable
+from collections.abc import Hashable
 
+from ._value import Value, set_field
 from .parabolic import NotSpinError, RankMemoryError, SelfCheckError, SpinParabolic
 from .parabolic import physical_memory as _physical_memory
 from .ratfunc import Poly, RatFunc
@@ -73,19 +73,24 @@ def _accumulate(table: dict[Hashable, RatFunc], key: Hashable, val: RatFunc) -> 
         table[key] = val
 
 
-@dataclass
-class PSVector:
+class PSVector(Value):
     """Sum of cell functions f_w with rational-function coefficients.
 
     The twist names the inducing character: coefficients multiply cells of
-    the series induced from theta composed with the twist.
+    the series induced from theta composed with the twist.  Mutable, so
+    unhashable.
     """
 
+    __slots__ = ("twist", "terms")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
     twist: Perm
     terms: dict[Perm, RatFunc]
 
-    def __post_init__(self) -> None:
-        self.terms = {w: c for w, c in self.terms.items() if not c.is_zero}
+    def __init__(self, twist: Perm, terms: dict[Perm, RatFunc]) -> None:
+        self.twist = twist
+        self.terms = {w: c for w, c in terms.items() if not c.is_zero}
 
     @classmethod
     def cell(cls, w: Perm) -> "PSVector":
@@ -117,16 +122,23 @@ def T_s(v: PSVector, a: int) -> PSVector:
     return out
 
 
-@dataclass
-class ParahoricVector:
+class ParahoricVector(Value):
     """Parahoric-cell expansion: one coefficient per Levi coset.
 
     Expanding a coset cell into the Iwahori basis sums the cells of all
-    coset members with equal coefficients.
+    coset members with equal coefficients.  Mutable, so unhashable.
     """
 
+    __slots__ = ("twist", "cosets")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
     twist: Perm
     cosets: dict[LeviCoset, RatFunc]
+
+    def __init__(self, twist: Perm, cosets: dict[LeviCoset, RatFunc]) -> None:
+        self.twist = twist
+        self.cosets = cosets
 
     def expand(self) -> PSVector:
         out = PSVector(self.twist, {})
@@ -287,16 +299,20 @@ def _rho_of_gl_coset(gl_coset: LeviCoset, n: int) -> Perm:
 # Zeta-integral support combinatorics.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NuBetaMatrix:
+class NuBetaMatrix(Value):
     """Antidiagonal p-power matrix p^{-beta} z_2^{-1} w_n z_1.
 
     exponents[i-1] is the p-exponent at position (i, n+1-i); the matrix is
     integral exactly when every exponent is nonnegative.
     """
 
+    __slots__ = ("n", "exponents")
     n: int
     exponents: tuple[int, ...]
+
+    def __init__(self, n: int, exponents: tuple[int, ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "exponents", exponents)
 
     @property
     def integral(self) -> bool:
@@ -313,8 +329,7 @@ def nu_beta(z1: tuple[int, ...], z2: tuple[int, ...], beta: int) -> NuBetaMatrix
     return NuBetaMatrix(n, tuple(z1[n - i] - z2[i - 1] - beta for i in range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class SupportVerdict:
+class SupportVerdict(Value):
     """Support verdict for the twisted zeta integral against a spin parabolic.
 
     For spin parabolics the three fields agree: the matrix is integral iff
@@ -323,10 +338,18 @@ class SupportVerdict:
     of the complex parameter.
     """
 
+    __slots__ = ("integral", "block_count_parity", "contained_in_Q", "matrix")
     integral: bool
     block_count_parity: str
     contained_in_Q: bool
     matrix: NuBetaMatrix
+
+    def __init__(self, integral: bool, block_count_parity: str, contained_in_Q: bool,
+                 matrix: NuBetaMatrix) -> None:
+        set_field(self, "integral", integral)
+        set_field(self, "block_count_parity", block_count_parity)
+        set_field(self, "contained_in_Q", contained_in_Q)
+        set_field(self, "matrix", matrix)
 
     @property
     def forced_vanishing(self) -> bool:

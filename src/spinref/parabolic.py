@@ -14,9 +14,9 @@ modeled: a non-spin delta is refused when the parabolic is built.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
+from ._value import Value, set_field
 from .rootdata import GLCocharacter, PureWeight
 from .weyl import composition_delta, position_blocks
 
@@ -41,8 +41,7 @@ def physical_memory() -> int | None:
         return None
 
 
-@dataclass(frozen=True)
-class SpinParabolic:
+class SpinParabolic(Value):
     """Standard spin parabolic of GL(2n); a non-spin delta raises NotSpinError.
 
     Fields:
@@ -53,23 +52,34 @@ class SpinParabolic:
         xp: {i <= n : a_i not in delta}.
     """
 
+    __slots__ = ("n", "delta", "composition", "xp")
     n: int
     delta: frozenset[int]
-    composition: tuple[int, ...] = field(init=False)
-    xp: frozenset[int] = field(init=False)
+    composition: tuple[int, ...]
+    xp: frozenset[int]
 
-    def __post_init__(self) -> None:
-        N = 2 * self.n
-        if self.n < 1:
+    def __init__(self, n: int, delta: frozenset[int]) -> None:
+        N = 2 * n
+        if n < 1:
             raise ValueError("rank must be >= 1")
-        if any(not (1 <= i <= N - 1) for i in self.delta):
-            raise ValueError(f"delta {set(self.delta)} not inside 1..{N - 1}")
-        composition = tuple(len(b) for b in position_blocks(self.delta, N))
-        if any((N - i) not in self.delta for i in self.delta):
+        if any(not (1 <= i <= N - 1) for i in delta):
+            raise ValueError(f"delta {set(delta)} not inside 1..{N - 1}")
+        composition = tuple(len(b) for b in position_blocks(delta, N))
+        if any((N - i) not in delta for i in delta):
             raise NotSpinError(f"composition {composition} is not symmetric around the middle")
-        object.__setattr__(self, "composition", composition)
-        object.__setattr__(
-            self, "xp", frozenset(i for i in range(1, self.n + 1) if i not in self.delta))
+        set_field(self, "n", n)
+        set_field(self, "delta", delta)
+        set_field(self, "composition", composition)
+        set_field(self, "xp", frozenset(i for i in range(1, n + 1) if i not in delta))
+
+    # written out for speed, as on weyl.Perm; composition and xp follow from n and delta
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.delta == other.delta
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.delta, self.composition, self.xp))
 
     @classmethod
     def from_composition(cls, parts: Iterable[int]) -> "SpinParabolic":

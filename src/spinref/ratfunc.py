@@ -21,11 +21,11 @@ ranks used here.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import getitem, or_
-from typing import Iterable, Mapping
 
 # Bits per exponent field of a packed monomial: one byte, so that
 # int.to_bytes unpacks a monomial into its exponents.

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
 from math import comb, factorial
 from operator import itemgetter
-from typing import Iterable
 
+from ._value import Value, set_field
 from .parabolic import SelfCheckError, SpinParabolic, all_spin_parabolics
 from .parabolic import physical_memory as _physical_memory
 from .weyl import (LeviCoset, Perm, coset_min_rep, enumerate_wg0, format_one_line,
@@ -41,16 +41,18 @@ class EnumerationBoundError(ValueError):
     """Rank exceeds the configured full-enumeration bound, or memory."""
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(Value):
     """An Iwahori p-refinement, i.e. a Weyl position sigma in S_{2n}."""
 
+    __slots__ = ("n", "sigma")
     n: int
     sigma: Perm
 
-    def __post_init__(self) -> None:
-        if self.sigma.degree != 2 * self.n:
-            raise ValueError(f"sigma has degree {self.sigma.degree}, expected {2 * self.n}")
+    def __init__(self, n: int, sigma: Perm) -> None:
+        if sigma.degree != 2 * n:
+            raise ValueError(f"sigma has degree {sigma.degree}, expected {2 * n}")
+        set_field(self, "n", n)
+        set_field(self, "sigma", sigma)
 
     @classmethod
     def from_one_line(cls, text: str) -> "Refinement":
@@ -70,26 +72,29 @@ class Refinement:
         return f"Refinement({self.one_line()})"
 
 
-@dataclass(frozen=True)
-class ParahoricRefinement:
+class ParahoricRefinement(Value):
     """A P-parahoric refinement: a coset sigma * W_L for the parabolic P."""
 
+    __slots__ = ("parabolic", "coset")
     parabolic: SpinParabolic
     coset: LeviCoset
 
-    def extensions(self) -> list[Refinement]:
-        """All Iwahori refinements lying above this parahoric one."""
-        return [Refinement(self.parabolic.n, w) for w in self.coset.members()]
+    def __init__(self, parabolic: SpinParabolic, coset: LeviCoset) -> None:
+        set_field(self, "parabolic", parabolic)
+        set_field(self, "coset", coset)
 
 
-@dataclass(frozen=True)
-class GammaMap:
+class GammaMap(Value):
     """The injective pairing map {1..n} -> {1..2n} attached to a refinement.
 
     values[i-1] is the unique index g with sigma(i) + sigma(2n+1-g) = 2n+1.
     """
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
+
+    def __init__(self, values: tuple[int, ...]) -> None:
+        set_field(self, "values", values)
 
     def __call__(self, i: int) -> int:
         return self.values[i - 1]
@@ -99,12 +104,16 @@ class GammaMap:
         return all(self.values[i] <= r for i in range(r))
 
 
-@dataclass(frozen=True)
-class SpinProfile:
+class SpinProfile(Value):
     """The full spin classification of a refinement."""
 
+    __slots__ = ("spin_set", "optimal")
     spin_set: frozenset[int]
     optimal: SpinParabolic
+
+    def __init__(self, spin_set: frozenset[int], optimal: SpinParabolic) -> None:
+        set_field(self, "spin_set", spin_set)
+        set_field(self, "optimal", optimal)
 
 
 def gamma(r: Refinement) -> GammaMap:

@@ -19,8 +19,7 @@ roots are stored doubled so all lattice arithmetic stays integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Optional
+from ._value import Value, set_field
 
 
 class RankMismatchError(ValueError):
@@ -32,25 +31,29 @@ def _check(cond: bool, msg: str) -> None:
         raise RankMismatchError(msg)
 
 
-@dataclass(frozen=True)
-class _LatticeVector:
+class _LatticeVector(Value):
     """Integer vector of a rank-n torus lattice; vectors of different lattices are unequal."""
 
+    __slots__ = ("n", "coeffs")
     n: int
     coeffs: tuple[int, ...]
-    label: ClassVar[str]
-    length: ClassVar[str]  # "2n" on GL(2n), "n+1" on GSpin(2n+1)
+    # class attributes of each lattice
+    label: str
+    length: str  # "2n" on GL(2n), "n+1" on GSpin(2n+1)
 
-    def __post_init__(self) -> None:
-        _check(self.n >= 1, "rank must be >= 1")
-        size = 2 * self.n if self.length == "2n" else self.n + 1
-        _check(len(self.coeffs) == size,
-               f"{self.label} needs {self.length}={size} entries, got {len(self.coeffs)}")
+    def __init__(self, n: int, coeffs: tuple[int, ...]) -> None:
+        _check(n >= 1, "rank must be >= 1")
+        size = 2 * n if self.length == "2n" else n + 1
+        _check(len(coeffs) == size,
+               f"{self.label} needs {self.length}={size} entries, got {len(coeffs)}")
+        set_field(self, "n", n)
+        set_field(self, "coeffs", coeffs)
 
 
 class GLCharacter(_LatticeVector):
     """Integer vector of length 2n in the basis e_1, ..., e_{2n}."""
 
+    __slots__ = ()
     label = "GL character"
     length = "2n"
 
@@ -63,6 +66,7 @@ class GLCharacter(_LatticeVector):
 class GLCocharacter(_LatticeVector):
     """Integer vector of length 2n in the dual basis e_1*, ..., e_{2n}*."""
 
+    __slots__ = ()
     label = "GL cocharacter"
     length = "2n"
 
@@ -70,6 +74,7 @@ class GLCocharacter(_LatticeVector):
 class GSpinCharacter(_LatticeVector):
     """Integer vector of length n+1 in the basis f_0, f_1, ..., f_n."""
 
+    __slots__ = ()
     label = "GSpin character"
     length = "n+1"
 
@@ -77,6 +82,7 @@ class GSpinCharacter(_LatticeVector):
 class GSpinCocharacter(_LatticeVector):
     """Integer vector of length n+1 in the dual basis f_0*, ..., f_n*."""
 
+    __slots__ = ()
     label = "GSpin cocharacter"
     length = "n+1"
 
@@ -105,19 +111,6 @@ def jmath_char(mu: GSpinCharacter, n: int) -> GLCharacter:
         out[i - 1] += c
         out[2 * n - i] -= c
     return GLCharacter(n, tuple(out))
-
-
-def jmath_char_inverse(lam: GLCharacter) -> Optional[GSpinCharacter]:
-    """Invert the transfer on its image, or return None off the image.
-
-    A GL character is in the image exactly when it is pure; then the
-    preimage has f_0-coefficient the purity weight and f_i-coefficient
-    lambda_i for 1 <= i <= n.
-    """
-    sw = is_pure(lam)
-    if sw is None:
-        return None
-    return GSpinCharacter(lam.n, (sw,) + lam.coeffs[: lam.n])
 
 
 def jmath_vee_cochar(nu: GLCocharacter, n: int) -> GSpinCocharacter:
@@ -151,7 +144,7 @@ def rho_doubled(group: str, n: int) -> GLCharacter | GSpinCharacter:
     raise ValueError(f"unknown group {group!r}")
 
 
-def is_pure(lam: GLCharacter) -> Optional[int]:
+def is_pure(lam: GLCharacter) -> int | None:
     """Purity weight of a GL character, or None if the pair sums differ."""
     n = lam.n
     sw = lam.coeffs[0] + lam.coeffs[2 * n - 1]
@@ -161,19 +154,21 @@ def is_pure(lam: GLCharacter) -> Optional[int]:
     return sw
 
 
-@dataclass(frozen=True)
-class PureWeight:
+class PureWeight(Value):
     """A pure integer weight of GL(2n): lambda_i + lambda_{2n-i+1} = sw for all i."""
 
+    __slots__ = ("n", "coeffs", "sw")
     n: int
     coeffs: tuple[int, ...]
     sw: int
 
-    def __post_init__(self) -> None:
-        _check(len(self.coeffs) == 2 * self.n,
-               f"weight needs 2n={2 * self.n} entries, got {len(self.coeffs)}")
-        if is_pure(GLCharacter(self.n, self.coeffs)) != self.sw:
-            raise ValueError(f"weight {self.coeffs} is not pure")
+    def __init__(self, n: int, coeffs: tuple[int, ...], sw: int) -> None:
+        _check(len(coeffs) == 2 * n, f"weight needs 2n={2 * n} entries, got {len(coeffs)}")
+        if is_pure(GLCharacter(n, coeffs)) != sw:
+            raise ValueError(f"weight {coeffs} is not pure")
+        set_field(self, "n", n)
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "sw", sw)
 
     @classmethod
     def from_coeffs(cls, coeffs: tuple[int, ...] | list[int]) -> "PureWeight":

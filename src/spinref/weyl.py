@@ -22,26 +22,37 @@ representative just sorts each block.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import permutations, product
-from typing import Iterable, Iterator, Optional
 
-from .rootdata import GSpinCharacter, GSpinCocharacter, RankMismatchError
+from ._value import Value, set_field
+from .rootdata import GSpinCharacter, RankMismatchError
 
 
-@dataclass(frozen=True)
-class Perm:
+class Perm(Value):
     """Permutation of {1, ..., N} in one-line notation."""
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        N = len(self.images)
+    def __init__(self, images: tuple[int, ...]) -> None:
+        N = len(images)
         seen = 0
-        for v in self.images:
+        for v in images:
             if not isinstance(v, int) or not (1 <= v <= N) or (seen >> v) & 1:
-                raise ValueError(f"not a permutation of 1..{N}: {self.images}")
+                raise ValueError(f"not a permutation of 1..{N}: {images}")
             seen |= 1 << v
+        set_field(self, "images", images)
+
+    # == and hash, the same as Value's, written out: they are on the mtau
+    # and query paths, where attribute access by name is about 1.5x slower.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @classmethod
     def identity(cls, N: int) -> "Perm":
@@ -110,12 +121,6 @@ class Perm:
         word.reverse()
         return word
 
-    def act_char(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-        """mu^sigma = (mu_{sigma(1)}, ..., mu_{sigma(N)})."""
-        if len(coeffs) != self.degree:
-            raise ValueError("length mismatch")
-        return tuple(coeffs[v - 1] for v in self.images)
-
     def __repr__(self) -> str:
         return f"Perm({format_one_line(self)})"
 
@@ -157,28 +162,25 @@ def parse_one_line(text: str) -> Perm:
 # The hyperoctahedral group {+-1}^n x| S_n.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SignedPerm:
+class SignedPerm(Value):
     """Element of {+-1}^n x| S_n as its signed one-line word.
 
     word[i-1] = f(i) for the odd bijection f of {-n..-1, 1..n} that the
     element is; multiplication is composition of these bijections.
     """
 
+    __slots__ = ("word",)
     word: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.word)
-        if sorted(abs(v) for v in self.word) != list(range(1, n + 1)):
-            raise ValueError(f"not a signed permutation of 1..{n}: {self.word}")
+    def __init__(self, word: tuple[int, ...]) -> None:
+        n = len(word)
+        if sorted(abs(v) for v in word) != list(range(1, n + 1)):
+            raise ValueError(f"not a signed permutation of 1..{n}: {word}")
+        set_field(self, "word", word)
 
     @classmethod
     def identity(cls, n: int) -> "SignedPerm":
         return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def sign_flip(cls, i: int, n: int) -> "SignedPerm":
-        return cls(tuple(-k if k == i else k for k in range(1, n + 1)))
 
     @property
     def n(self) -> int:
@@ -217,7 +219,7 @@ def embed_wg0(s: SignedPerm, n: int) -> Perm:
     return Perm(tuple(head + [M - v for v in reversed(head)]))
 
 
-def in_wg0(sigma: Perm) -> Optional[SignedPerm]:
+def in_wg0(sigma: Perm) -> SignedPerm | None:
     """Inverse of embed_wg0 on its image; None off the image.
 
     The image is cut out by sigma(i) + sigma(2n+1-i) = 2n+1 for all i.
@@ -283,12 +285,25 @@ def coset_min_rep(sigma: Perm, delta: frozenset[int] | set[int]) -> Perm:
     return Perm(tuple(images))
 
 
-@dataclass(frozen=True)
-class LeviCoset:
+class LeviCoset(Value):
     """Left coset sigma * W_L, canonicalized by its minimal representative."""
 
+    __slots__ = ("rep", "delta")
     rep: Perm
     delta: frozenset[int]
+
+    def __init__(self, rep: Perm, delta: frozenset[int]) -> None:
+        set_field(self, "rep", rep)
+        set_field(self, "delta", delta)
+
+    # written out for speed, as on Perm
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.rep == other.rep and self.delta == other.delta
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rep, self.delta))
 
     @classmethod
     def of(cls, sigma: Perm, delta: Iterable[int]) -> "LeviCoset":
@@ -383,15 +398,3 @@ def gspin_weyl_act(w: SignedPerm, chi: GSpinCharacter) -> GSpinCharacter:
     c = chi.coeffs
     return GSpinCharacter(chi.n, (c[0],) + tuple(c[v] if v > 0 else c[0] - c[-v] for v in w.word))
 
-
-def gspin_weyl_act_cochar(w: SignedPerm, nu: GSpinCocharacter) -> GSpinCocharacter:
-    """Right action nu^w on GSpin cocharacters (dual to gspin_weyl_act).
-
-    Slot i takes c_{w(i)}, or -c_{-w(i)} when w(i) < 0; the f_0* coefficient
-    gains c_{-w(i)} for every negative entry.
-    """
-    if w.n != nu.n:
-        raise RankMismatchError(f"rank mismatch: element has n={w.n}, cocharacter n={nu.n}")
-    c = nu.coeffs
-    c0 = c[0] + sum(c[-v] for v in w.word if v < 0)
-    return GSpinCocharacter(nu.n, (c0,) + tuple(c[v] if v > 0 else -c[-v] for v in w.word))

@@ -66,6 +66,11 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--n", "0")
         assert code == 1 and ">= 1" in err
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_bound_below_one_refused(self, capsys, bound):
+        assert run(capsys, "classify", "--n", "2", "--bound", bound) == (
+            1, "", f"error: --bound must be >= 1, got {bound}\n")
+
     def test_memory_refusal(self, capsys, monkeypatch):
         # n = 3 needs 6! * 6 = 4320 bytes of stratum buffers
         monkeypatch.setattr(refine, "_physical_memory", lambda: 4319)
@@ -353,6 +358,11 @@ class TestMTau:
         code, out, err = run(capsys, "mtau", "--parabolic", "1,1,1,1,1,1,1,1,1,1")
         assert code == 2 and out == ""
         assert err == "error: n=5 exceeds the mtau bound 4; raise the bound explicitly\n"
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_one_refused(self, capsys, bound):
+        assert run(capsys, "mtau", "--parabolic", "1,1", "--bound", bound) == (
+            1, "", f"error: --bound must be >= 1, got {bound}\n")
 
     def test_bound_override(self, capsys):
         code, _, _ = run(capsys, "mtau", "--parabolic", "3,3", "--bound", "2")
