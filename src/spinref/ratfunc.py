@@ -10,21 +10,36 @@ tested: with every exponent below 2**(FIELD_BITS - 1) no sum can carry into
 the next field, and otherwise ExponentOverflowError is raised.  Keys are
 unpacked only for printing, evaluation and ``leading``.
 
-Rational functions keep a numerator and denominator jointly stripped of
-integer content and of common monomial factors, with the denominator's
-sign pinned by its lexicographically leading monomial.  No polynomial
-factorization is attempted, so this is not a normal form: equality holds
-at once when numerators and denominators agree term by term, and is
-otherwise decided by cross-multiplying.  Coefficients stay small at the
-ranks used here.
+A rational function is held in lowest terms as num / (scale * x^mono *
+product of factors): scale > 0, and the factors are primitive polynomials
+free of monomial factors with a positive leading coefficient, counted in a
+Counter.  A sum puts both numerators over the lcm of the denominators and
+trial-divides only by the factors the two share; a product cancels each
+numerator against the other operand's factors; a quotient adds the
+divisor's primitive numerator as one factor.  Exact division is
+lexicographic.  Factors are never split, so a value is in lowest terms as
+far as its factors are irreducible, as the binomials theta_b - theta_a and
+p*theta_b - theta_a from the intertwining constants are; equality holds at
+once when the reduced pairs agree and is otherwise decided by
+cross-multiplying.
+
+The printed text is the quotient that the same computation would have had
+unreduced: stripped of content and common monomials only, with +-1 and 0
+written as such.  Each value also carries the multiset of factors that
+unreduced denominator collected (both operands' together for a sum, difference
+or product; for a quotient the dividend's, the divisor's primitive
+numerator, and the divisor's that its reduction cancelled; none for 0 and
++-1), and prints as its reduced pair times the factors of that multiset
+that the reduction cancelled.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from operator import getitem, or_
 
 # Bits per exponent field of a packed monomial: one byte, so that
@@ -186,10 +201,140 @@ class ZeroDenominatorError(ZeroDivisionError):
     pass
 
 
-class RatFunc:
-    """Quotient of integer polynomials, canonicalized but not factored."""
+# A factor of a denominator as a dictionary key: its terms, in decreasing
+# order of their monomials.
+Factor = tuple[tuple[int, int], ...]
 
-    __slots__ = ("num", "den")
+
+def _factor(coeffs: dict[int, int]) -> Factor:
+    return tuple(sorted(coeffs.items(), reverse=True))
+
+
+def _guard(used: int, nvars: int) -> None:
+    """Refuse a product whose factors OR together to used, as Poly.__mul__ does."""
+    if used & _top_bits(nvars):
+        raise ExponentOverflowError(
+            f"an exponent of a factor exceeds {_FIELD_MASK >> 1}, "
+            f"so the product could carry out of its {FIELD_BITS}-bit field")
+
+
+def _primitive(nvars: int, coeffs: dict[int, int]) -> tuple[int, int, dict[int, int]]:
+    """Split a nonzero polynomial as c * x^m * f.
+
+    c is its content, signed like its leading coefficient, x^m its common
+    monomial, and f is primitive, free of monomial factors and has a positive
+    leading coefficient.
+    """
+    c = gcd(*coeffs.values())
+    if coeffs[max(coeffs)] < 0:
+        c = -c
+    m = _common_monomial(nvars, list(coeffs))
+    if c == 1 and not m:
+        return 1, 0, coeffs
+    return c, m, {mono - m: v // c for mono, v in coeffs.items()}
+
+
+def _exact_quotient(nvars: int, f: dict[int, int], g: dict[int, int]) -> dict[int, int] | None:
+    """f / g when the primitive polynomial g divides f; None when it does not.
+
+    Lexicographic division: when g divides f, the leading term of every
+    remainder is a multiple of g's leading term, so the first one that is
+    not proves that g does not divide f.  Divisibility of monomials uses the
+    guard bits of Poly.__mul__: with the top bit of every field set, a
+    subtraction leaves it set exactly in the fields that do not borrow.  That
+    needs exponents below 2**(FIELD_BITS - 1), which every term of an exact
+    quotient's remainders has, so a remainder term past it also gives None.
+    Most trial divisions fail, and most of those already at the first or
+    the last term of f, which are the quotient's times g's.
+    """
+    if not f:
+        return {}
+    top = _top_bits(nvars)
+    if reduce(or_, g) & top:
+        return None
+    for m, gm in ((max(f), max(g)), (min(f), min(g))):
+        if m & top or ~((m | top) - gm) & top or f[m] % g[gm]:
+            return None
+    lead = max(g)
+    lc = g[lead]
+    rest = [(m, -c) for m, c in g.items() if m != lead]
+    rem = dict(f)
+    quot = {}
+    while rem:
+        m = max(rem)
+        c = rem.pop(m)
+        if m & top or ~((m | top) - lead) & top or c % lc:
+            return None
+        t = m - lead
+        q = quot[t] = c // lc
+        for mg, cg in rest:
+            mm = t + mg
+            c = rem.get(mm, 0) + q * cg
+            if c:
+                rem[mm] = c
+            else:
+                del rem[mm]
+    return quot
+
+
+def _cancel(nvars: int, num: dict[int, int], factors: Counter[Factor],
+            tries: Iterable[tuple[Factor, int]]) -> dict[int, int]:
+    """Divide num by each factor as often as it goes, up to the given number of
+    times, and take each quotient's factor out of factors."""
+    for key, times in tries:
+        g = dict(key)
+        for _ in range(times):
+            q = _exact_quotient(nvars, num, g)
+            if q is None:
+                break
+            num = q
+            factors[key] -= 1
+            if not factors[key]:
+                del factors[key]
+    return num
+
+
+def _times(poly: Poly, factors: Iterable[tuple[Factor, int]]) -> Poly:
+    """poly times each factor to its power, one pass over poly per term of a
+    factor, with the guard of Poly.__mul__."""
+    nvars = poly.nvars
+    coeffs = poly.coeffs
+    for key, k in factors:
+        (first, c0), *rest = key
+        used = reduce(or_, [m for m, _ in rest], first)
+        for _ in range(k):
+            _guard(reduce(or_, coeffs, used), nvars)
+            out = {m + first: c * c0 for m, c in coeffs.items()}
+            get = out.get
+            for mk, ck in rest:
+                for m, c in coeffs.items():
+                    m += mk
+                    out[m] = get(m, 0) + c * ck
+            coeffs = out
+    if coeffs is poly.coeffs:
+        return poly
+    return Poly._packed(nvars, {m: c for m, c in coeffs.items() if c})
+
+
+def _scaled(poly: Poly, mono: int, c: int) -> Poly:
+    """poly times the term c * x^mono, with the guard of Poly.__mul__."""
+    if not mono and c == 1:
+        return poly
+    _guard(reduce(or_, poly.coeffs, mono), poly.nvars)
+    return Poly._packed(poly.nvars, {m + mono: v * c for m, v in poly.coeffs.items()})
+
+
+class RatFunc:
+    """Quotient of integer polynomials over a factored denominator.
+
+    num / den is the value with no content and no monomial common to the
+    two, den = scale * x^mono * (product of factors) and scale > 0.  The
+    factors are primitive, free of monomial factors and lead positively;
+    legacy is the multiset of such factors that the unreduced quotient of
+    the same computation had in its denominator, and holds every factor.
+    """
+
+    __slots__ = ("num", "den", "scale", "mono", "factors", "legacy")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
@@ -197,24 +342,41 @@ class RatFunc:
         if num.nvars != den.nvars:
             raise ValueError("arity mismatch")
         nvars = num.nvars
-        if num.is_zero:
-            den = Poly.const(1, nvars)
-        else:
-            nc, dc = num.coeffs, den.coeffs
-            shift = _common_monomial(nvars, [*nc, *dc])
-            g = gcd(*nc.values(), *dc.values())
-            if dc[max(dc)] < 0:
-                g = -g
-            if shift or g != 1:
-                nc = {m - shift: c // g for m, c in nc.items()}
-                dc = {m - shift: c // g for m, c in dc.items()}
-            if nc == dc:
-                nc = dc = {0: 1}
-            elif nc == {m: -c for m, c in dc.items()}:
-                nc, dc = {0: -1}, {0: 1}
-            num, den = Poly._packed(nvars, nc), Poly._packed(nvars, dc)
-        self.num = num
-        self.den = den
+        c, m, prim = _primitive(nvars, den.coeffs)
+        nc = num.coeffs if c > 0 else {mono: -v for mono, v in num.coeffs.items()}
+        factors: Counter[Factor] = Counter()
+        if prim != {0: 1}:
+            factors[_factor(prim)] = 1
+        legacy = Counter(factors)
+        self._store(nvars, _cancel(nvars, nc, factors, list(factors.items())), abs(c), m,
+                    factors, legacy)
+
+    def _store(self, nvars: int, num: dict[int, int], scale: int, mono: int,
+               factors: Counter[Factor], legacy: Counter[Factor]) -> "RatFunc":
+        """Hold num / (scale * x^mono * prod factors) with content and monomials
+        cancelled; 0 and +-1 keep no factors at all."""
+        if num:
+            g = gcd(scale, *num.values())
+            shift = _common_monomial(nvars, [mono, *num]) if mono else 0
+            if g != 1 or shift:
+                num = {m - shift: c // g for m, c in num.items()}
+                scale //= g
+                mono -= shift
+            den = _times(Poly._packed(nvars, {mono: scale}), factors.items())
+            dc = den.coeffs
+            if len(num) != len(dc) or num != dc and num != {m: -c for m, c in dc.items()}:
+                self.num, self.den = Poly._packed(nvars, num), den
+                self.scale, self.mono, self.factors, self.legacy = scale, mono, factors, legacy
+                return self
+            num = {0: 1 if num == dc else -1}
+        self.num, self.den = Poly._packed(nvars, num), Poly.const(1, nvars)
+        self.scale, self.mono, self.factors, self.legacy = 1, 0, Counter(), Counter()
+        return self
+
+    @classmethod
+    def _make(cls, nvars: int, num: dict[int, int], scale: int, mono: int,
+              factors: Counter[Factor], legacy: Counter[Factor]) -> "RatFunc":
+        return cls.__new__(cls)._store(nvars, num, scale, mono, factors, legacy)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -246,19 +408,72 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def _lifted(self, scale: int, mono: int, factors: Counter[Factor]) -> Poly:
+        """The numerator over the multiple scale * x^mono * prod factors of den."""
+        return _times(_scaled(self.num, mono - self.mono, scale // self.scale),
+                      (factors - self.factors).items())
+
+    def _add(self, other: "RatFunc", sign: int) -> "RatFunc":
+        if other.is_zero:
+            return self
+        if self.is_zero and sign > 0:
+            return other
+        nvars = self.num.nvars
+        mine, theirs = self.factors, other.factors
+        factors = mine | theirs
+        scale = lcm(self.scale, other.scale)
+        mono = self.mono + other.mono - _common_monomial(nvars, [self.mono, other.mono])
+        total = self._lifted(scale, mono, factors).coeffs.copy()
+        get = total.get
+        for m, c in other._lifted(scale, mono, factors).coeffs.items():
+            c = get(m, 0) + sign * c
+            if c:
+                total[m] = c
+            else:
+                del total[m]
+        num = _cancel(nvars, total, factors, (mine & theirs).items())
+        return RatFunc._make(nvars, num, scale, mono, factors, self.legacy + other.legacy)
+
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._add(other, 1)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._add(other, -1)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
+        nvars = self.num.nvars
+        if self.is_zero or other.is_zero:
+            return RatFunc.zero(nvars)
+        factors = self.factors + other.factors
+        left = _cancel(nvars, self.num.coeffs, factors, other.factors.items())
+        right = _cancel(nvars, other.num.coeffs, factors, self.factors.items())
+        num = Poly._packed(nvars, left) * Poly._packed(nvars, right)
+        _guard(self.mono | other.mono, nvars)
+        return RatFunc._make(nvars, num.coeffs, self.scale * other.scale,
+                             self.mono + other.mono, factors, self.legacy + other.legacy)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero:
             raise ZeroDenominatorError("division by the zero function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        nvars = self.num.nvars
+        if self.is_zero:
+            return self
+        c, m, prim = _primitive(nvars, other.num.coeffs)
+        common = self.factors & other.factors
+        factors = self.factors - common
+        legacy = self.legacy + (other.legacy - other.factors)
+        num = self.num.coeffs
+        if prim != {0: 1}:
+            key = _factor(prim)
+            factors[key] += 1
+            legacy[key] += 1
+            num = _cancel(nvars, num, factors, [(key, 1)])
+        num = _times(_scaled(Poly._packed(nvars, num), other.mono,
+                             other.scale if c > 0 else -other.scale),
+                     (other.factors - common).items())
+        _guard(self.mono | m, nvars)
+        return RatFunc._make(nvars, num.coeffs, self.scale * abs(c), self.mono + m,
+                             factors, legacy)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
@@ -270,17 +485,28 @@ class RatFunc:
     __hash__ = None  # type: ignore[assignment]
 
     def evaluate(self, p_value, theta_values) -> Fraction:
-        """Exact evaluation; degenerate substitutions hitting the pole are rejected."""
+        """Exact evaluation; substitutions hitting a pole of the reduced quotient
+        are rejected."""
         values = [Fraction(p_value)] + [Fraction(v) for v in theta_values]
         den = self.den.evaluate(values)
         if den == 0:
             raise ZeroDenominatorError("substitution lands on a pole")
         return self.num.evaluate(values) / den
 
+    def printed_pair(self) -> tuple[Poly, Poly]:
+        """Numerator and denominator as printed: num and den times the legacy
+        factors that the reduction cancelled."""
+        extra = self.legacy - self.factors
+        if not extra:
+            return self.num, self.den
+        spare = _times(Poly.const(1, self.num.nvars), extra.items())
+        return self.num * spare, self.den * spare
+
     def __str__(self) -> str:
-        if self.den.coeffs == {0: 1}:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        num, den = self.printed_pair()
+        if den.coeffs == {0: 1}:
+            return str(num)
+        return f"({num}) / ({den})"
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"

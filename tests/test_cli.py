@@ -373,17 +373,49 @@ class TestMTau:
         assert json.loads(out)["expansion"] == {"12345": "1"}
 
     # SHA-256 of stdout as produced with tuple-keyed monomials and equality
-    # by cross-multiplication: every spin parabolic inside (n,n) at n = 3,
-    # and the Borel at n = 4.  The output must not change.
+    # by cross-multiplication, and with unreduced rational functions: every
+    # spin parabolic inside (n,n) at n = 2, 3 and 4.  The output must not change.
     PINNED = {
-        ("1,1,1,1,1,1", "json"): "af1fc3ac2a5b0b764d5481c8df21106032ad2a0acb1f667e9b0db71a9b0981d1",
-        ("1,1,1,1,1,1", "table"): "4af33fb724e8ef42bead1c5c0d90cb02d03d144b9670a2f3b5457f88e8b76a36",
-        ("1,2,2,1", "json"): "f192aeb0567b4027131051181f86598d67580eda0be921ad4ced2395b7a3c188",
-        ("1,2,2,1", "table"): "657c966420cb430c2e211df55e4d478e2bd1deef4b1f056aa1640d06f484fc6e",
-        ("2,1,1,2", "json"): "525e031983c444cb7f6a0eabb25aed86e55151bdc9e9c838da64618cb151535a",
-        ("2,1,1,2", "table"): "a03937697dc4644d54b5cdd1d9114f9586a035e2f9043068a134af49774dca37",
+        ("2,2", "json"): "e9932b093dbd0c2f504d91205c51bff7da927480bcf261a47247278a35f3d731",
+        ("2,2", "table"): "cb6f4a427c0e5756c8aa7d18db8a27a099c6f9abb447f1c3266c2dbdd64293cb",
+        ("1,1,1,1", "json"): "57ec8fabbb2c6fff8463853aefd2bd67b924699b99f4ed77ba7e3500538653aa",
+        ("1,1,1,1", "table"):
+            "cc3b9b46eb95684f53b564095cbfd3364a9e41d9a67669d22d2ce73a00ce90d3",
         ("3,3", "json"): "a3075954b23ef3963cd88a84a31ba79267e2aa5c5f5c5534e3e1a4cd5efc0c39",
         ("3,3", "table"): "dc040f4d0603fe66f7298ad1cb4ba03ade84fe7bdf12c112530409f9890d4164",
+        ("1,2,2,1", "json"): "f192aeb0567b4027131051181f86598d67580eda0be921ad4ced2395b7a3c188",
+        ("1,2,2,1", "table"):
+            "657c966420cb430c2e211df55e4d478e2bd1deef4b1f056aa1640d06f484fc6e",
+        ("2,1,1,2", "json"): "525e031983c444cb7f6a0eabb25aed86e55151bdc9e9c838da64618cb151535a",
+        ("2,1,1,2", "table"):
+            "a03937697dc4644d54b5cdd1d9114f9586a035e2f9043068a134af49774dca37",
+        ("1,1,1,1,1,1", "json"):
+            "af1fc3ac2a5b0b764d5481c8df21106032ad2a0acb1f667e9b0db71a9b0981d1",
+        ("1,1,1,1,1,1", "table"):
+            "4af33fb724e8ef42bead1c5c0d90cb02d03d144b9670a2f3b5457f88e8b76a36",
+        ("4,4", "json"): "39cd8d1ac6bdb5a1c89e98d8c02cce6114a14eb7894cb71eb60693c9abb299ad",
+        ("4,4", "table"): "db3dfa8f4004f6b5cd88f60762440bb7e5b8cc72d74955e1b59a7cc7db1db43a",
+        ("1,3,3,1", "json"): "fc14f65ffeec5bb5e14c318d49d5096f9e1b82ac9d808696c843499f724707dd",
+        ("1,3,3,1", "table"):
+            "b155af1aab79119e08801066d3953bb5ef954d8770efd382880df6feb0a7c166",
+        ("2,2,2,2", "json"): "f6341bcd189fd6d748c35188a8ea8c70e167224b9204ad3872398e6ccab73f74",
+        ("2,2,2,2", "table"):
+            "7ab4d5ac987d001d3698a34ab680b2fe651e1d2265e6da39c1e4093414a8187a",
+        ("1,1,2,2,1,1", "json"):
+            "b566345bb5a1e93ce0e24047d00647c48acba801a80410e78453add6a1dba1f0",
+        ("1,1,2,2,1,1", "table"):
+            "530021659ea04b92cbc35bfa867f4b3a45b009ee10c42f8a04ec9c3af45a1e0c",
+        ("3,1,1,3", "json"): "a2a76872cb06e86ae6de17a8c6196480ea3cf32029fc767b70b203a55eec906b",
+        ("3,1,1,3", "table"):
+            "baf21085b00a1166553bdab9677f2cd8e97a2ba72d18d09520511ad8e5ead665",
+        ("1,2,1,1,2,1", "json"):
+            "055993a163335926c8077d90f2fa9db5aff9f8792d10c09cdc3084978e62b740",
+        ("1,2,1,1,2,1", "table"):
+            "53b3e7d77474c34827dad5d383e38714673272e31227ad3ba33668985fe3bd3f",
+        ("2,1,1,1,1,2", "json"):
+            "67511be98a6d2f512181d20e5e7606bd89a28880f03f32d8cc0b30e2cd287d9e",
+        ("2,1,1,1,1,2", "table"):
+            "da0f33c1adba74b4454ebcbe5804c93661481044e15106d1c37375673062721e",
         ("1,1,1,1,1,1,1,1", "json"):
             "77890f3411209aa79495c3b6ae3e810c082f8c3f8ca0bd676f7778febecf4af7",
         ("1,1,1,1,1,1,1,1", "table"):

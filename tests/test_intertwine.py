@@ -20,7 +20,7 @@ class TestRatFunc:
         t2 = RatFunc.theta(2, nv)
         half = t1 / (p * t2)
         other = (t1 * t1) / (p * t2 * t1)
-        assert half == other  # equal after cross-multiplication
+        assert half == other  # equal in lowest terms
         assert (half - other).is_zero
         assert (p * RatFunc.p_inverse(nv)) == RatFunc.const(1, nv)
 
@@ -216,6 +216,26 @@ class TestMTau:
         expansion, _ = m_tau_expansion(4, p)
         oracle = m_tau_expansion_oracle(4, p)
         assert len(expansion) == 24
+        assert set(expansion) == set(oracle)
+        for key in expansion:
+            assert expansion[key] == oracle[key]
+
+    @pytest.mark.parametrize("comp", [(4, 4), (1, 3, 3, 1), (2, 2, 2, 2), (3, 1, 1, 3),
+                                      (1, 1, 2, 2, 1, 1), (1, 2, 1, 1, 2, 1),
+                                      (2, 1, 1, 1, 1, 2)])
+    def test_oracle_agreement_n4(self, comp):
+        p = SpinParabolic.from_composition(comp)
+        expansion, _ = m_tau_expansion(4, p)
+        oracle = m_tau_expansion_oracle(4, p)
+        assert set(expansion) == set(oracle)
+        for key in expansion:
+            assert expansion[key] == oracle[key]
+
+    def test_oracle_agreement_n5_2332(self):
+        p = SpinParabolic.from_composition((2, 3, 3, 2))
+        expansion, _ = m_tau_expansion(5, p)
+        oracle = m_tau_expansion_oracle(5, p)
+        assert len(expansion) == 10
         assert set(expansion) == set(oracle)
         for key in expansion:
             assert expansion[key] == oracle[key]

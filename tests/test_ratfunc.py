@@ -1,6 +1,8 @@
 """Packed-monomial polynomials against a plain tuple-keyed reference."""
 
 import random
+from math import gcd
+from operator import add, mul, sub, truediv
 
 import pytest
 
@@ -173,7 +175,7 @@ class TestRatFuncEquality:
         p, t1, t2, t3 = self.parts()
         a = (p * t2 - t1) / (p * (t2 - t1)) + t3
         b = (p * t2 - t1) / (p * (t2 - t1)) + t3
-        assert a is not b and a.num is not b.num
+        assert a is not b and a.num is not b.num  # reduced pairs, equal but not shared
 
         def refuse(self, other):
             raise AssertionError("cross-multiplied")
@@ -182,22 +184,44 @@ class TestRatFuncEquality:
 
     def test_equal_functions_with_different_structure(self):
         p, t1, t2, _ = self.parts()
+        # t1^2 - t2^2 enters as one factor, which trial division keeps whole
+        a = RatFunc((t1 + t2).num, (t1 * t1 - t2 * t2).num)
+        b = RatFunc.const(1, self.NV) / (t1 - t2)
+        assert (a.num, a.den) != (b.num, b.den)  # reduced pairs
+        assert a == b
+
+    def test_reduced_pair_equal_printed_pair_not(self):
+        p, t1, t2, _ = self.parts()
         a = (t1 * t1 - t2 * t2) / (t1 - t2)
         b = t1 + t2
-        assert (a.num, a.den) != (b.num, b.den)
+        assert (a.num, a.den) == (b.num, b.den)  # reduced pairs
+        assert a.printed_pair() != b.printed_pair()
+        assert str(a) == "(θ_1^2 - θ_2^2) / (θ_1 - θ_2)"
+        assert str(b) == "θ_1 + θ_2"
         assert a == b
+
+    def test_shared_factors_cancel(self):
+        p, t1, t2, t3 = self.parts()
+        one = RatFunc.const(1, self.NV)
+        diff = t1 * t3 / (t1 - t2) - t2 * t3 / (t1 - t2)
+        assert (diff.num, diff.den) == (t3.num, one.num)  # reduced pair
+        assert str(diff) == ("(θ_1^2*θ_3 - 2*θ_1*θ_2*θ_3 + θ_2^2*θ_3)"
+                             " / (θ_1^2 - 2*θ_1*θ_2 + θ_2^2)")
+        prod = t1 / (t1 - t2) * ((t1 - t2) / t3)
+        assert (prod.num, prod.den) == (t1.num, t3.num)  # reduced pair
+        assert str(prod) == "(θ_1^2 - θ_1*θ_2) / (θ_1*θ_3 - θ_2*θ_3)"
 
     def test_unequal_with_equal_denominators(self):
         p, t1, t2, t3 = self.parts()
         den = p * (t2 - t1)
         a, b = (t1 + t3) / den, (t1 - t3) / den
-        assert a.den == b.den and a.num != b.num
+        assert a.den == b.den and a.num != b.num  # reduced pairs
         assert a != b
 
     def test_unequal_with_equal_numerators(self):
         p, t1, t2, t3 = self.parts()
         a, b = (t1 + p) / (t2 - t3), (t1 + p) / (t2 + t3)
-        assert a.num == b.num
+        assert a.num == b.num  # reduced pairs
         assert a != b
 
     def test_sign_and_content_canonical(self):
@@ -205,3 +229,144 @@ class TestRatFuncEquality:
         two = RatFunc.const(2, self.NV)
         a = (two * t1 - two * p) / (RatFunc.const(-2, self.NV) * t2)
         assert str(a) == "(p - θ_1) / (θ_2)"
+
+
+class TestExactDivision:
+    def test_exponent_past_guard_bit_keeps_quotient(self):
+        nv = 3
+        t1, t2 = Poly.var(1, nv), Poly.var(2, nv)
+        num = Poly(nv, {(0, 200, 1): 1, (0, 199, 2): -1})  # θ_1^199*θ_2*(θ_1 - θ_2)
+        assert ratfunc._exact_quotient(nv, num.coeffs, (t1 - t2).coeffs) is None
+        value = RatFunc(num, t1 - t2)
+        assert str(value) == "(θ_1^200*θ_2 - θ_1^199*θ_2^2) / (θ_1 - θ_2)"
+        assert value.evaluate(1, [2, 3]) == 2 ** 199 * 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_quotients_of_products(self, seed):
+        rng = random.Random(300 + seed)
+        for _ in range(60):
+            nvars = rng.randint(2, 6)
+            f = Poly(nvars, random_poly(rng, nvars, rng.randint(1, 6), 3))
+            g = Poly(nvars, random_poly(rng, nvars, rng.randint(1, 4), 3))
+            if f.is_zero or g.is_zero:
+                continue
+            g = Poly._packed(nvars, ratfunc._primitive(nvars, g.coeffs)[2])
+            assert ratfunc._exact_quotient(nvars, (f * g).coeffs, g.coeffs) == f.coeffs
+            if g.coeffs != {0: 1}:
+                h = f * g + Poly.const(1, nvars)
+                assert ratfunc._exact_quotient(nvars, h.coeffs, g.coeffs) is None
+
+
+# -- reference: the unreduced quotient ----------------------------------------
+
+def least_monomial(nvars, monos):
+    fields = zip(*(m.to_bytes(nvars, "big") for m in monos))
+    return int.from_bytes(bytes(map(min, fields)), "big")
+
+
+class Unreduced:
+    """The quotient as RatFunc printed it before it was kept in lowest terms:
+    numerator and denominator of the whole computation, jointly stripped of
+    integer content and common monomials, the denominator's leading
+    coefficient positive, +-1 written as such, and equality decided by
+    cross-multiplying."""
+
+    def __init__(self, num, den):
+        nvars = num.nvars
+        nc, dc = num.coeffs, den.coeffs
+        if not nc:
+            nc, dc = {}, {0: 1}
+        else:
+            shift = least_monomial(nvars, [*nc, *dc])
+            g = gcd(*nc.values(), *dc.values())
+            if dc[max(dc)] < 0:
+                g = -g
+            nc = {m - shift: c // g for m, c in nc.items()}
+            dc = {m - shift: c // g for m, c in dc.items()}
+            if nc == dc:
+                nc = dc = {0: 1}
+            elif nc == {m: -c for m, c in dc.items()}:
+                nc, dc = {0: -1}, {0: 1}
+        self.num, self.den = Poly._packed(nvars, nc), Poly._packed(nvars, dc)
+
+    def __add__(self, other):
+        return Unreduced(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other):
+        return Unreduced(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        return Unreduced(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        return Unreduced(self.num * other.den, self.den * other.num)
+
+    def __eq__(self, other):
+        return self.num * other.den == other.num * self.den
+
+    def __str__(self):
+        if self.den.coeffs == {0: 1}:
+            return str(self.num)
+        return f"({self.num}) / ({self.den})"
+
+
+class TestAgainstUnreduced:
+    """Seeded expression sequences, computed in lowest terms and unreduced:
+    the printed text and every equality must agree."""
+
+    NV = 6  # p and theta_1..theta_5
+
+    def atoms(self):
+        nv = self.NV
+        var = [Poly.var(i, nv) for i in range(nv)]
+        one = Poly.const(1, nv)
+        p, t = var[0], var[1:]
+        pairs = [(x, one) for x in var] + [(Poly.const(c, nv), one) for c in (-2, 3)]
+        for a, b in ((1, 2), (2, 4), (3, 5), (1, 5)):
+            x, y = t[a - 1], t[b - 1]
+            pairs += [(one, y - x), (y - x, one), (one, p * y - x),
+                      (p * y - x, p * (y - x)), (x, p * y - x)]
+        pairs += [(one, t[1] + t[2]), (t[0] - p, t[1] + t[2]), (one, p)]
+        # numerator and denominator with a factor in common
+        pairs += [((t[1] - t[0]) * t[2], t[1] - t[0]),
+                  ((p * t[3] - t[2]) * (t[3] - t[2]), p * p * (t[3] - t[2]))]
+        return [(RatFunc(n, d), Unreduced(n, d)) for n, d in pairs]
+
+    def step(self, rng, pool):
+        """One new value: an operation on the pool, or a sum through 0 or +-1."""
+        nv = self.NV
+        (x, rx), (y, ry) = rng.choice(pool), rng.choice(pool[-6:] + pool)
+        one = (RatFunc.const(1, nv), Unreduced(Poly.const(1, nv), Poly.const(1, nv)))
+        kind = rng.choice("+-*/" * 3 + "zoOsq")
+        if kind == "/" and y.is_zero:
+            kind = "*"
+        if kind == "z":  # through 0: (x - y) + (y - x), then + y
+            return [((x - y) + (y - x) + y), ((rx - ry) + (ry - rx) + ry)]
+        if kind == "o":  # through 1: (x + 1) - x, then times y
+            return [((x + one[0]) - x) * y, ((rx + one[1]) - rx) * ry]
+        if kind == "O":  # through -1: (x - 1) - x, then plus y
+            return [((x - one[0]) - x) + y, ((rx - one[1]) - rx) + ry]
+        if kind == "s":  # x / x and x - x, when x is not 0
+            if x.is_zero:
+                return [x + y, rx + ry]
+            return [x / x - (y - y), rx / rx - (ry - ry)]
+        if kind == "q":  # (x + y) - y
+            return [(x + y) - y, (rx + ry) - ry]
+        op = {"+": add, "-": sub, "*": mul, "/": truediv}[kind]
+        return [op(x, y), op(rx, ry)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sequences_print_and_compare_alike(self, seed):
+        rng = random.Random(1000 + seed)
+        pool = self.atoms()
+        for _ in range(40):
+            value, ref = self.step(rng, pool)
+            assert str(value) == str(ref)
+            assert value.num * ref.den == ref.num * value.den
+            if len(ref.num.coeffs) + len(ref.den.coeffs) <= 400:
+                pool.append((value, ref))
+        for _ in range(60):
+            (a, ra), (b, rb) = rng.choice(pool), rng.choice(pool)
+            assert (a == b) == (ra == rb)
+        for a, ra in pool:
+            assert a == a and (a - a).is_zero and str(a - a) == "0"
