@@ -16,9 +16,9 @@ Subcommands:
 Output is deterministic (members sorted by one-line notation) so tables
 diff cleanly.  Exit codes: 1 other usage errors (bad arguments included,
 and a --n or --bound below 1), 2 rank bound exceeded (classify, mtau),
-classify's stratum buffers larger than physical memory, a composition
-whose Levi cannot fit in physical memory (zeta, slopes, mtau), or a zeta
-verdict that cannot (zeta),
+classify's head table larger than physical memory, a composition
+whose Levi cannot fit in physical memory (zeta, slopes, mtau), a zeta
+verdict that cannot (zeta), or an mtau text that does not fit in memory,
 3 malformed permutation, 4 missing, malformed or duplicate slope data,
 5 non-spin composition, 6 failed internal self-check.
 An error message quotes at most QUOTE_CAP (60) characters of an input value,
@@ -173,7 +173,7 @@ def _parse_parabolic(text: str, n: int | None = None) -> SpinParabolic:
 # ---------------------------------------------------------------------------
 
 # classify formats and writes this many members of a stratum at a time.
-MEMBERS_PER_WRITE = 1 << 16
+MEMBERS_PER_WRITE = 1 << 13
 
 # Per byte value v: the units digit of v, and the tens digit of v or a NUL
 # placeholder (deleted afterwards) when v < 10.
@@ -249,8 +249,8 @@ def cmd_classify(args) -> int:
     def write_row(p: SpinParabolic, head: str, sep: str, tail: str) -> None:
         """Write head, the stratum's members joined by sep, then tail.
 
-        The members are formatted MEMBERS_PER_WRITE at a time and the
-        stratum's words are freed once written.
+        The members are formatted MEMBERS_PER_WRITE at a time, as the
+        stratum's chunks are made.
         """
         _, chunks = strata.pop(p)
         out.write(head)
@@ -457,20 +457,27 @@ def cmd_mtau(args) -> int:
         raise CliError(f"n={p.n} exceeds the mtau bound {_cut(str(args.bound))}; "
                        f"raise the bound explicitly", EXIT_BOUND)
     expansion, prenorm = m_tau_expansion(p.n, p)
-    rows = sorted(((format_one_line(coset.rep), str(coeff))
-                   for coset, coeff in expansion.items()))
-    if args.format == "json":
-        print(json.dumps({
-            "n": p.n,
-            "parabolic": p.label(),
-            "expansion": dict(rows),
-            "prenormalization": str(prenorm),
-        }, ensure_ascii=False))
-        return 0
-    print(f"intertwined eigenvector expansion for n={p.n}, parabolic {p.label()}")
-    for rep, coeff in rows:
-        print(f"  [{rep}]  {coeff}")
-    print(f"prenormalization factor: {prenorm}")
+    # All the text is built before any is printed, so that a MemoryError
+    # (the unreduced text at n = 5) leaves stdout empty.
+    try:
+        rows = sorted(((format_one_line(coset.rep), str(coeff))
+                       for coset, coeff in expansion.items()))
+        if args.format == "json":
+            text = json.dumps({
+                "n": p.n,
+                "parabolic": p.label(),
+                "expansion": dict(rows),
+                "prenormalization": str(prenorm),
+            }, ensure_ascii=False)
+        else:
+            text = "\n".join([
+                f"intertwined eigenvector expansion for n={p.n}, parabolic {p.label()}",
+                *(f"  [{rep}]  {coeff}" for rep, coeff in rows),
+                f"prenormalization factor: {prenorm}"])
+    except MemoryError:
+        raise CliError(f"n={p.n}: the text of the {p.label()} expansion does not fit in memory",
+                       EXIT_BOUND) from None
+    print(text)
     return 0
 
 

@@ -108,17 +108,17 @@ def T_s(v: PSVector, a: int) -> PSVector:
     s = Perm.simple(a, N)
     nvars = N + 1
     cs = c_s(a, v.twist)
-    one = RatFunc.const(1, nvars)
     p_inv = RatFunc.p_inverse(nvars)
+    lengthening, shortening = cs - RatFunc.const(1, nvars), cs - p_inv
     out = PSVector(v.twist * s, {})
     for w, coeff in v.terms.items():
         sw = s * w
         if sw.length() > w.length():
             _accumulate(out.terms, sw, coeff * p_inv)
-            _accumulate(out.terms, w, coeff * (cs - one))
+            _accumulate(out.terms, w, coeff * lengthening)
         else:
             _accumulate(out.terms, sw, coeff)
-            _accumulate(out.terms, w, coeff * (cs - p_inv))
+            _accumulate(out.terms, w, coeff * shortening)
     return out
 
 

@@ -21,9 +21,9 @@ transposition at a time, driving any refinement to a fully spin one.
 
 from __future__ import annotations
 
-import io
 import itertools
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from math import comb, factorial
 from operator import itemgetter
@@ -255,71 +255,57 @@ class StratumCountError(SelfCheckError):
     """An enumerated stratum's size differs from its closed-form count."""
 
 
-def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
-                  ) -> dict[SpinParabolic, tuple[int, Iterable[bytes]]]:
-    """Partition all (2n)! one-line words by their optimal spin parabolic.
+def _head_table_bytes(n: int) -> int:
+    """An upper bound of the bytes that stratum_words(n) holds, in closed form.
 
-    Every spin parabolic appears as a key, possibly with an empty stratum.
-    A stratum is (size, chunks): its member count, and bytes objects that
-    concatenate to its members' one-line images, one byte per value and 2n
-    bytes per member, in one-line order.
+    Counted on 64-bit CPython: a list or dict slot at 9 bytes (lists
+    grow by an eighth), a dict entry at 56, a dict at 224 and a list at 104
+    with its slack, a bytes object of n values at 33 + n, and a mask at an
+    int of n * (2n + 2) bits.  The table holds
 
-    The words are enumerated as a head h (the first n values, in one-line
-    order) followed by each arrangement of the rest R of the values, which
-    is one-line order overall.  Index k is spin when the last k values are
-    the partners 2n+1-v of h's first k values v, so it is not spin once
-    one of these partners lies in h.  Let j be the largest count with the
-    partners of h's first j values all in R; each head takes one of three
-    ways:
+    * C(2n, n) sets R, each with its n! arrangements (bytes and mask);
+    * (2n)!/n! heads (as many as arrangements), each its bytes, a record
+      of four and slots in G's lists, the records and the by_min lists;
+    * one split per set R and ordered prefix of j values whose partners
+      lie in R, for a set with k >= 1 full pairs {v, 2n+1-v} and s = n-2k
+      other values (j <= s), each with the references to R's n!
+      arrangements and at most 2^j groups;
+    * one split per order of n values, n! references and 2^(n-1) groups;
+    * about 1 kB for each stratum's parabolic, key and count.
 
-    * j = 0: no index is spin, and all of R's arrangements go to the
-      stratum of G (X_P empty);
-    * 0 < j < n: only indices up to j can be spin, and which are depends
-      on R and h's first j values alone, so each such pair splits R's
-      arrangements into strata once, for all the heads that share it, and
-      each part is one head.join write.  These heads share h(1), and the
-      splits are dropped whenever h(1) changes, which keeps memory flat;
-    * j = n: R holds the partners of all of h, so index n is spin and
-      none goes to G.  Which other indices are spin depends only on the
-      order of h's values, so each of the n! orders splits the positions
-      of R's arrangements into strata once, and each part is one head.join
-      write of the arrangements gathered at its positions.
-
-    A test compares the head's prefix masks, grown once per head, with the
-    arrangement's complemented-suffix masks, grown once per arrangement of
-    each set R, in one packed comparison.  At n = 5, 3,840 of the 30,240
-    heads take the last way, and 309,600 tests place all 3,628,800 words.
-
-    G, most of the words (77.5 % at n = 5, 84 % at n = 6), is not copied:
-    each head with j < n adds at most one part, the head and a list of
-    tails after an empty one, held by reference (R's arrangements for
-    j = 0, the split's G group otherwise), and G's chunks are the parts'
-    head.join, made only as they are read.  Every other stratum is
-    one buffer, allocated once at its closed-form size, so memory does not
-    depend on how growing buffers happen to fragment the heap.  Every size
-    is checked against what the enumeration wrote.  A rank whose words,
-    (2n)! * 2n bytes, exceed physical memory is refused before any buffer
-    is allocated; this is an upper bound on what is held.  The product is
-    multiplied out only until it passes both the memory figure and the
-    10^60 below which the message shows it.
+    Measured with tracemalloc on 64-bit CPython 3.11, stratum_words and
+    the reading of every stratum peaked at about 39 kB, 0.54 MB and 11.2 MB
+    at n = 3, 4 and 5; this bound gives 1.3 to 1.7 times as much.  At n = 6
+    it is 466 MB, and a whole classify run peaked at 426 MB of RSS.
     """
-    if n > bound:
-        raise EnumerationBoundError(
-            f"n={n} exceeds the enumeration bound {bound}; raise the bound explicitly")
+    F, C = factorial(n), comb(2 * n, n)
+    SLOT, ENTRY, DICT, LIST = 9, 56, 224, 104
+    word = 33 + n
+    mask = 24 + 4 * -(-n * (2 * n + 2) // 30)
+    total = (4096 + 1024 * 2 ** n + C * (ENTRY + 32 + 56 + 2 * LIST)
+             + C * F * (2 * word + mask + 72 + (n + 4) * SLOT))
+    split = ENTRY + 56 + 40 + 8 * n + 56 + DICT + F * SLOT
+    for k in range(1, n // 2 + 1):
+        s = n - 2 * k
+        sets = comb(n, k) * comb(n - k, s) * 2 ** s
+        for j in range(1, s + 1):
+            total += sets * factorial(s) // factorial(s - j) * (split + 2 ** j * (ENTRY + LIST))
+    return total + F * (ENTRY + 40 + 8 * n + DICT + 2 ** (n - 1) * (ENTRY + LIST)
+                        + F * SLOT + 32 + SLOT)
+
+
+def _head_table(n: int) -> tuple[list[bytes], list[list[bytes]], list[tuple], Counter]:
+    """One pass over the heads: G's parts, the other heads' records and every size.
+
+    Returns G's heads and tail lists (parallel lists, see stratum_words), a
+    record (j, head, groups, words) for every head with j >= 1, in one-line
+    order, and the member count of each spin key.  groups maps a spin key
+    to the head's part of that stratum: a list of tails after an empty one
+    when j < n (words is then None), and the positions of the tails in
+    words, after a 0, when j = n.  The tail masks and the split tables are
+    freed on return, before any stratum is read.
+    """
     N = 2 * n
-    have = _physical_memory()
-    if have is not None:
-        need, cap = N, max(have, 10 ** 60)
-        for k in range(2, N + 1):
-            need *= k
-            if need > cap:
-                break
-        if need > have:
-            # a factorial past 60 digits: str() refuses more than 4300, which n >= 779 reach
-            shown = need if need < 10 ** 60 else f"({N})! * {N}"
-            raise EnumerationBoundError(
-                f"n={n} needs {shown} bytes of stratum buffers, more than the {have} bytes "
-                f"of physical memory")
     width, fill, guard, head_bits, tail_bits = _sweep_layout(n)
     top = (n - 1) * width
     values = range(1, N + 1)
@@ -333,22 +319,13 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
         tails[sum(1 << v for v in rest)] = (
             [b"", *map(bytes, arrangements)],
             [_grow_masks(tail[::-1], tail_bits, width) for tail in arrangements])
-    counts = stratum_counts(n)
-    streams = {p: io.BytesIO() for p in all_spin_parabolics(n) if p.xp}
-    writers = {}
-    for p, stream in streams.items():
-        if counts[p.xp]:
-            # Writing the last byte sizes the buffer; the words then
-            # overwrite it from the start.
-            stream.seek(counts[p.xp] * N - 1)
-            stream.write(b"\0")
-            stream.seek(0)
-        key = sum(1 << (k * width - 1) for k in range(1, n + 1) if k not in p.xp)
-        writers[key] = stream.write
+    # the positions 1..n! of the arrangements, one int object for every order
+    positions = list(range(1, factorial(n) + 1))
     # G's parts, as parallel lists: no tuple per part for the collector to track
-    g_heads, g_tails = [], []
-    add_head, add_tails = g_heads.append, g_tails.append
-    first, splits, patterns = None, {}, {}
+    g_heads, g_tails, records = [], [], []
+    add_head, add_tails, add_record = g_heads.append, g_tails.append, records.append
+    # A split is [its G group or None, its other groups, the heads that use it].
+    splits, patterns = {}, {}
     for head in itertools.permutations(values, n):
         head_masks = _grow_masks(head, head_bits, width)
         head_bytes = bytes(head)
@@ -361,24 +338,18 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
         if j == 0:
             add_head(head_bytes)
             add_tails(words)
-        elif j < n:
-            if head[0] != first:
-                first, splits = head[0], {}
+            continue
+        if j < n:
             split = splits.get((rest, head[:j]))
             if split is None:
                 groups = {}
                 for tail_bytes, tail_masks in zip(words[1:], masks):
                     groups.setdefault(((head_masks ^ tail_masks) + fill) & guard,
                                       [b""]).append(tail_bytes)
-                split = splits[rest, head[:j]] = (groups.pop(guard, None),
-                                                  [(writers[key], group)
-                                                   for key, group in groups.items()])
-            g_group, writes = split
-            if g_group:
+                split = splits[rest, head[:j]] = [groups.pop(guard, None), groups, 0]
+            if split[0]:
                 add_head(head_bytes)
-                add_tails(g_group)
-            for write, group in writes:
-                write(head_bytes.join(group))
+                add_tails(split[0])
         else:
             # The m-th smallest value of R partners h's m-th largest value, so
             # heads whose values come in the same order split R's
@@ -387,23 +358,109 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
             split = patterns.get(order)
             if split is None:
                 groups = {}
-                for index, tail_masks in enumerate(masks, 1):
+                for index, tail_masks in zip(positions, masks):
                     groups.setdefault(((head_masks ^ tail_masks) + fill) & guard,
                                       [0]).append(index)
-                split = patterns[order] = [(writers[key], itemgetter(*group))
-                                           for key, group in groups.items()]
-            for write, gather in split:
-                write(head_bytes.join(gather(words)))
-    sizes = {p: stream.tell() // N for p, stream in streams.items()}
-    g = SpinParabolic.full_group(n)
-    sizes[g] = sum(map(len, g_tails)) - len(g_tails)
-    for p, size in sizes.items():
-        if size != counts[p.xp]:
-            raise StratumCountError(
-                f"stratum {p.label()} has {size} members, closed form {counts[p.xp]}")
-    return {p: (sizes[p], map(bytes.join, g_heads, g_tails) if p == g
-                else [streams[p].getvalue()])
+                split = patterns[order] = [None, groups, 0]
+        split[2] += 1
+        add_record((j, head_bytes, split[1], words if j == n else None))
+    sizes = Counter()
+    for _, groups, uses in itertools.chain(splits.values(), patterns.values()):
+        for key, group in groups.items():
+            sizes[key] += uses * (len(group) - 1)
+    sizes[guard] = sum(map(len, g_tails)) - len(g_tails)
+    return g_heads, g_tails, records, sizes
+
+
+def _joined_groups(records: list[tuple], key: int) -> Iterator[bytes]:
+    """head.join of each record's group for the spin key, in record order."""
+    for _, head, groups, words in records:
+        group = groups.get(key)
+        if group is not None:
+            yield head.join(group if words is None else itemgetter(*group)(words))
+
+
+def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
+                  ) -> dict[SpinParabolic, tuple[int, Iterable[bytes]]]:
+    """Partition all (2n)! one-line words by their optimal spin parabolic.
+
+    Every spin parabolic appears as a key, possibly with an empty stratum.
+    A stratum is (size, chunks): its member count, and a lazy iterator of
+    bytes objects that concatenate to its members' one-line images, one
+    byte per value and 2n bytes per member, in one-line order.  Each
+    iterator can be read once, and the strata in any order; a chunk is
+    made only when it is read.
+
+    The words are enumerated as a head h (the first n values, in one-line
+    order) followed by each arrangement of the rest R of the values, which
+    is one-line order overall.  Index k is spin when the last k values are
+    the partners 2n+1-v of h's first k values v, so it is not spin once
+    one of these partners lies in h.  Let j be the largest count with the
+    partners of h's first j values all in R; each head takes one of three
+    ways:
+
+    * j = 0: no index is spin, and all of R's arrangements go to the
+      stratum of G (X_P empty);
+    * 0 < j < n: only indices up to j can be spin, and which are depends
+      on R and h's first j values alone, so each such pair splits R's
+      arrangements into strata once, for all the heads that share it.
+      Every split is kept for the whole pass;
+    * j = n: R holds the partners of all of h, so index n is spin and
+      none goes to G.  Which other indices are spin depends only on the
+      order of h's values, so each of the n! orders splits the positions
+      of R's arrangements into strata once.
+
+    A test compares the head's prefix masks, grown once per head, with the
+    arrangement's complemented-suffix masks, grown once per arrangement of
+    each set R, in one packed comparison.  At n = 5, 3,840 of the 30,240
+    heads take the last way, and 309,600 tests place all 3,628,800 words.
+
+    Nothing is copied in the pass.  G, most of the words (77.5 % at n = 5,
+    84 % at n = 6), is a head and a list of tails after an empty one for
+    each head with a G part (R's arrangements for j = 0, the split's G
+    group otherwise), and its chunks are the parts' head.join.  Each head
+    with j >= 1 is a record of its j, its bytes and its split's groups, and
+    stratum X, which only heads with j >= max X reach, is the head.join of
+    its group in each such record, in head order.  Every size is counted
+    in the pass and checked against the closed form before any chunk is
+    made.  A rank whose head table (_head_table_bytes) exceeds physical
+    memory is refused before the pass.
+    """
+    if n > bound:
+        raise EnumerationBoundError(
+            f"n={n} exceeds the enumeration bound {bound}; raise the bound explicitly")
+    have = _physical_memory()
+    if have is not None:
+        # The (2n)!/n! heads are multiplied out only until they pass both
+        # the memory figure and the 10^60 below which the message shows
+        # the figure; a rank with more heads is refused without the sum.
+        heads, cap = 1, max(have, 10 ** 60)
+        for k in range(n + 1, 2 * n + 1):
+            heads *= k
+            if heads > cap:
+                break
+        need = _head_table_bytes(n) if heads <= cap else cap + 1
+        if need > have:
+            shown = need if need < 10 ** 60 else "over 10^60"
+            raise EnumerationBoundError(
+                f"n={n} needs {shown} bytes for its head table, more than the {have} "
+                f"bytes of physical memory")
+    g_heads, g_tails, records, sizes = _head_table(n)
+    width, _, guard = _sweep_layout(n)[:3]
+    counts = stratum_counts(n)
+    keys = {p: sum(1 << (k * width - 1) for k in range(1, n + 1) if k not in p.xp)
             for p in all_spin_parabolics(n)}
+    for p, key in keys.items():
+        if sizes[key] != counts[p.xp]:
+            raise StratumCountError(
+                f"stratum {p.label()} has {sizes[key]} members, closed form {counts[p.xp]}")
+    # by_min[m - 1]: the records with j >= m, in head order
+    by_min = [records]
+    for m in range(2, n + 1):
+        by_min.append([record for record in by_min[-1] if record[0] >= m])
+    return {p: (sizes[key], map(bytes.join, g_heads, g_tails) if key == guard
+                else _joined_groups(by_min[max(p.xp) - 1], key))
+            for p, key in keys.items()}
 
 
 def stratify(n: int, bound: int = DEFAULT_ENUMERATION_BOUND

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ import pytest
 from spinref import cli, intertwine, refine
 from spinref.cli import main, parse_refinement_report, refinement_report
 from spinref.parabolic import all_spin_parabolics
+from spinref.ratfunc import RatFunc
 from spinref.weyl import Perm, format_one_line
 
 DATA = Path(__file__).parent / "data"
@@ -72,28 +72,28 @@ class TestClassify:
             1, "", f"error: --bound must be >= 1, got {bound}\n")
 
     def test_memory_refusal(self, capsys, monkeypatch):
-        # n = 3 needs 6! * 6 = 4320 bytes of stratum buffers
-        monkeypatch.setattr(refine, "_physical_memory", lambda: 4319)
+        # n = 3 holds at most 63962 bytes of head table (refine._head_table_bytes)
+        monkeypatch.setattr(refine, "_physical_memory", lambda: 63961)
         code, out, err = run(capsys, "classify", "--n", "3")
         assert code == 2 and out == ""
-        assert err == ("error: n=3 needs 4320 bytes of stratum buffers, more than the "
-                       "4319 bytes of physical memory\n")
-        # (2000)! * 2000 has more digits than str() of an int allows
+        assert err == ("error: n=3 needs 63962 bytes for its head table, more than the "
+                       "63961 bytes of physical memory\n")
+        # (2000)!/1000! heads: the figure passes 10^60 and is not multiplied out
         assert run(capsys, "classify", "--n", "1000", "--bound", "1000") == (
-            2, "", "error: n=1000 needs (2000)! * 2000 bytes of stratum buffers, more than "
-                   "the 4319 bytes of physical memory\n")
+            2, "", "error: n=1000 needs over 10^60 bytes for its head table, more than "
+                   "the 63961 bytes of physical memory\n")
         # below 10^60 the figure is exact, however small the memory
         assert run(capsys, "classify", "--n", "20", "--bound", "20") == (
-            2, "", f"error: n=20 needs {factorial(40) * 40} bytes of stratum buffers, "
-                   f"more than the 4319 bytes of physical memory\n")
-        # (400000)! * 400000 multiplied out took over a second; the product
-        # stops once it passes both the memory figure and 10^60
+            2, "", f"error: n=20 needs {refine._head_table_bytes(20)} bytes for its head "
+                   f"table, more than the 63961 bytes of physical memory\n")
+        # the heads, (400000)!/200000!, are multiplied out only until they
+        # pass both the memory figure and 10^60, so a huge n ends at once
         start = time.perf_counter()
         assert run(capsys, "classify", "--n", "200000", "--bound", "200000") == (
-            2, "", "error: n=200000 needs (400000)! * 400000 bytes of stratum buffers, "
-                   "more than the 4319 bytes of physical memory\n")
+            2, "", "error: n=200000 needs over 10^60 bytes for its head table, "
+                   "more than the 63961 bytes of physical memory\n")
         assert time.perf_counter() - start < 0.5
-        monkeypatch.setattr(refine, "_physical_memory", lambda: 4320)
+        monkeypatch.setattr(refine, "_physical_memory", lambda: 63962)
         code, out, _ = run(capsys, "classify", "--n", "3", "--format", "json")
         assert code == 0 and json.loads(out)["total"] == 720
 
@@ -105,6 +105,17 @@ class TestClassify:
             assert run(capsys, "classify", "--n", "3", "--format", fmt) == (
                 6, "", "error: internal self-check failed: stratum G has 384 members, "
                        "closed form 383\n")
+
+    def test_borel_count_mismatch_exits_6_before_output(self, capsys, monkeypatch):
+        # a stratum other than G is streamed from the head table too, and
+        # its size is checked before the first row
+        wrong = refine.stratum_counts(3)
+        wrong[frozenset({1, 2, 3})] += 1
+        monkeypatch.setattr(refine, "stratum_counts", lambda n: wrong)
+        for fmt in ("table", "json", "csv"):
+            assert run(capsys, "classify", "--n", "3", "--format", fmt) == (
+                6, "", "error: internal self-check failed: stratum B has 48 members, "
+                       "closed form 49\n")
 
     # SHA-256 of stdout as produced by the per-member implementation that
     # built a Perm for every refinement; the output must not change.
@@ -157,9 +168,9 @@ class TestClassify:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_peak_rss_n5(self):
-        # G, 77.5 % of the 10! words, is held as references to shared tails,
-        # not copied: the run peaked about 18 MB above the import alone, and
-        # about 40 MB when G was one buffer
+        # No stratum is held as bytes, only the head table: the run peaked
+        # about 12 MB above the import alone, about 18 MB when the strata
+        # other than G were presized buffers, and about 40 MB when G was one too
         def peak_kib(*argv):
             proc = subprocess.run([sys.executable, "-c", self.PEAK_RSS, *argv],
                                   env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -421,6 +432,15 @@ class TestMTau:
         ("1,1,1,1,1,1,1,1", "table"):
             "b669be2a0534f50f4efb5793655084ed10c99c9f695698bc4cdc90fececf1616",
     }
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_memory_error_while_formatting(self, capsys, monkeypatch, fmt):
+        # the unreduced text of an n = 5 expansion can exceed the memory
+        def exhausted(self):
+            raise MemoryError
+        monkeypatch.setattr(RatFunc, "printed_pair", exhausted)
+        assert run(capsys, "mtau", "--parabolic", "1,2,2,1", "--format", fmt) == (
+            2, "", "error: n=3: the text of the 1,2,2,1 expansion does not fit in memory\n")
 
     @pytest.mark.parametrize("comp,fmt", sorted(PINNED))
     def test_pinned_digest(self, capsys, comp, fmt):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from math import comb, factorial
 
@@ -253,10 +254,27 @@ class TestStratify:
             naive[by_xp[spin_set(Refinement(n, Perm(images)))]] += bytes(images)
         words = refine.stratum_words(n)
         assert list(words) == list(naive)
-        for p, stratum in naive.items():
+        # read as classify reads them: in row order, each stratum to its end
+        # before the next, every one a single-use iterator over one table
+        for p in sorted(naive, key=lambda p: (-len(p.xp), p.composition)):
             size, chunks = words[p]
-            assert b"".join(chunks) == stratum, p.label()
-            assert size * 2 * n == len(stratum), p.label()
+            assert b"".join(chunks) == naive[p], p.label()
+            assert size * 2 * n == len(naive[p]), p.label()
+            assert next(iter(chunks), None) is None, p.label()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_head_table_bound_covers_the_traced_peak(self, n):
+        # the memory refusal's figure is an upper bound of what is held,
+        # while the table is built and while every stratum is read
+        tracemalloc.start()
+        try:
+            for _, chunks in refine.stratum_words(n).values():
+                for _ in chunks:
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= refine._head_table_bytes(n)
 
     def test_counts_n3(self):
         strata = stratify(3)
