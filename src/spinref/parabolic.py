@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator
+from functools import cache
 
 from ._value import Value, set_field
 from .rootdata import GLCocharacter, PureWeight
@@ -33,12 +34,57 @@ class RankMemoryError(ValueError):
     """A composition whose Levi's simple roots cannot fit in physical memory."""
 
 
-def physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
+def _read_text(path: str) -> str | None:
+    """The text of a file, or None where it cannot be read."""
     try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
+        with open(path) as f:
+            return f.read()
+    except (OSError, ValueError):
         return None
+
+
+def _cgroup_limits() -> list[int]:
+    """The memory limits of this process's cgroups and of the cgroups above them.
+
+    /proc/self/cgroup names a cgroup path per hierarchy: a cgroup v2 line
+    has no controllers and its limit is memory.max under /sys/fs/cgroup, a
+    cgroup v1 line lists memory and its limit is memory.limit_in_bytes
+    under /sys/fs/cgroup/memory.  "max", or a file that cannot be read,
+    sets no limit.
+    """
+    limits = []
+    for line in (_read_text("/proc/self/cgroup") or "").splitlines():
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        _, controllers, path = fields
+        if not controllers:
+            base, name = "/sys/fs/cgroup", "memory.max"
+        elif "memory" in controllers.split(","):
+            base, name = "/sys/fs/cgroup/memory", "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            text = _read_text("/".join([base, *parts[:depth], name])) or ""
+            if text.strip().isdecimal():
+                limits.append(int(text))
+    return limits
+
+
+@cache
+def physical_memory() -> int | None:
+    """Bytes of memory this process may use, or None where nothing says.
+
+    The smaller of physical memory and the process's cgroup limits
+    (_cgroup_limits), read once per process.
+    """
+    limits = _cgroup_limits()
+    try:
+        limits.append(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    return min(limits, default=None)
 
 
 class SpinParabolic(Value):

@@ -62,6 +62,15 @@ def _top_bits(nvars: int) -> int:
     return ((1 << FIELD_BITS * nvars) - 1) // _FIELD_MASK << FIELD_BITS - 1
 
 
+def _guard(used: int, nvars: int) -> None:
+    """Refuse a product whose factors' monomials OR together to used: an
+    exponent at its field's top bit could carry into the next field."""
+    if used & _top_bits(nvars):
+        raise ExponentOverflowError(
+            f"an exponent of a factor exceeds {_FIELD_MASK >> 1}, "
+            f"so the product could carry out of its {FIELD_BITS}-bit field")
+
+
 class Poly:
     """Multivariate integer polynomial; variable 0 is p, variable i is theta_i."""
 
@@ -128,11 +137,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        used = reduce(or_, self.coeffs, 0) | reduce(or_, other.coeffs, 0)
-        if used & _top_bits(self.nvars):
-            raise ExponentOverflowError(
-                f"an exponent of a factor exceeds {_FIELD_MASK >> 1}, "
-                f"so the product could carry out of its {FIELD_BITS}-bit field")
+        _guard(reduce(or_, self.coeffs, 0) | reduce(or_, other.coeffs, 0), self.nvars)
         out: dict[int, int] = {}
         get = out.get
         right = list(other.coeffs.items())
@@ -208,14 +213,6 @@ Factor = tuple[tuple[int, int], ...]
 
 def _factor(coeffs: dict[int, int]) -> Factor:
     return tuple(sorted(coeffs.items(), reverse=True))
-
-
-def _guard(used: int, nvars: int) -> None:
-    """Refuse a product whose factors OR together to used, as Poly.__mul__ does."""
-    if used & _top_bits(nvars):
-        raise ExponentOverflowError(
-            f"an exponent of a factor exceeds {_FIELD_MASK >> 1}, "
-            f"so the product could carry out of its {FIELD_BITS}-bit field")
 
 
 def _primitive(nvars: int, coeffs: dict[int, int]) -> tuple[int, int, dict[int, int]]:

@@ -260,116 +260,107 @@ def _head_table_bytes(n: int) -> int:
 
     Counted on 64-bit CPython: a list or dict slot at 9 bytes (lists
     grow by an eighth), a dict entry at 56, a dict at 224 and a list at 104
-    with its slack, a bytes object of n values at 33 + n, and a mask at an
-    int of n * (2n + 2) bits.  The table holds
+    with its slack, a bytes object of m values at 33 + m, an int below
+    n! at 32, and a mask or spin key at an int of n * (2n + 2) bits.  The
+    table holds
 
-    * C(2n, n) sets R, each with its n! arrangements (bytes and mask);
+    * C(2n, n) sets R, each with its n! arrangements as bytes, in a list
+      after an empty one, and the ranks of the partners as bytes;
+    * the n! masks of the rank arrangements, and their positions 1..n!;
     * (2n)!/n! heads (as many as arrangements), each its bytes, a record
-      of four and slots in G's lists, the records and the by_min lists;
-    * one split per set R and ordered prefix of j values whose partners
-      lie in R, for a set with k >= 1 full pairs {v, 2n+1-v} and s = n-2k
-      other values (j <= s), each with the references to R's n!
-      arrangements and at most 2^j groups;
-    * one split per order of n values, n! references and 2^(n-1) groups;
-    * about 1 kB for each stratum's parabolic, key and count.
+      of four and a slot in the records and in each by_min list;
+    * one split per ordered choice of j of the n ranks, for j = 0..n
+      other than n-1 (see stratum_words), each with its key, n! position
+      slots and at most 2^j groups;
+    * about 1 kB for each stratum's parabolic, key and count, a chunk
+      being read (its positions, its tails and its bytes), and 16 kB for
+      what a process makes once (the caches, the memory limit's reads).
 
     Measured with tracemalloc on 64-bit CPython 3.11, stratum_words and
-    the reading of every stratum peaked at about 39 kB, 0.54 MB and 11.2 MB
-    at n = 3, 4 and 5; this bound gives 1.3 to 1.7 times as much.  At n = 6
-    it is 466 MB, and a whole classify run peaked at 426 MB of RSS.
+    the reading of every stratum peaked at about 40 kB, 0.39 MB and 6.2 MB
+    at n = 3, 4 and 5; this bound gives 1.2 to 1.7 times as much.  At n = 6
+    it is 161 MB against a traced 129 MB, and a whole classify run peaked
+    at 157 MB of RSS; at n = 7 it is 4.4 GB.
     """
     F, C = factorial(n), comb(2 * n, n)
     SLOT, ENTRY, DICT, LIST = 9, 56, 224, 104
     word = 33 + n
     mask = 24 + 4 * -(-n * (2 * n + 2) // 30)
-    total = (4096 + 1024 * 2 ** n + C * (ENTRY + 32 + 56 + 2 * LIST)
-             + C * F * (2 * word + mask + 72 + (n + 4) * SLOT))
-    split = ENTRY + 56 + 40 + 8 * n + 56 + DICT + F * SLOT
-    for k in range(1, n // 2 + 1):
-        s = n - 2 * k
-        sets = comb(n, k) * comb(n - k, s) * 2 ** s
-        for j in range(1, s + 1):
-            total += sets * factorial(s) // factorial(s - j) * (split + 2 ** j * (ENTRY + LIST))
-    return total + F * (ENTRY + 40 + 8 * n + DICT + 2 ** (n - 1) * (ENTRY + LIST)
-                        + F * SLOT + 32 + SLOT)
+    total = (16384 + 1024 * 2 ** n + C * (ENTRY + 32 + 56 + LIST + 34 + 2 * n)
+             + C * F * (2 * word + 72 + (n + 1) * SLOT)
+             + F * (mask + 32 + 2 * SLOT) + 2 * n * F + 2 * F * SLOT + 3 * LIST)
+    for j in (*range(n - 1), n):
+        total += F // factorial(n - j) * (ENTRY + 40 + 8 * j + LIST + DICT + F * SLOT
+                                          + 2 ** j * (ENTRY + LIST + mask))
+    return total
 
 
-def _head_table(n: int) -> tuple[list[bytes], list[list[bytes]], list[tuple], Counter]:
-    """One pass over the heads: G's parts, the other heads' records and every size.
+@lru_cache(maxsize=None)
+def _rank_tails(n: int) -> tuple[tuple[int, int], ...]:
+    """Each arrangement of the ranks 0..n-1 as its position 1..n! and its
+    tail mask (rank r as bit r); every split shares these position ints."""
+    width, _, _, rank_bits, _ = _sweep_layout(n)
+    return tuple((index, _grow_masks(arrangement[::-1], rank_bits, width))
+                 for index, arrangement in enumerate(itertools.permutations(range(n)), 1))
 
-    Returns G's heads and tail lists (parallel lists, see stratum_words), a
-    record (j, head, groups, words) for every head with j >= 1, in one-line
-    order, and the member count of each spin key.  groups maps a spin key
-    to the head's part of that stratum: a list of tails after an empty one
-    when j < n (words is then None), and the positions of the tails in
-    words, after a 0, when j = n.  The tail masks and the split tables are
-    freed on return, before any stratum is read.
+
+def _rank_split(n: int, ranks: tuple[int, ...]) -> dict[int, list[int]]:
+    """The split of every R's arrangements for heads with these partner ranks.
+
+    ranks holds the rank within R of the partner of each of the head's
+    first j values, for the longest run whose partners lie in R (see
+    stratum_words).  The result maps a spin key to the positions 1..n! of
+    the arrangements that give it, after a 0.  The rank n, which no
+    arrangement holds, pads the head's masks so that no index above j is
+    spin.
+    """
+    width, fill, guard, rank_bits, _ = _sweep_layout(n)
+    head = _grow_masks(ranks + (n,) * (n - len(ranks)), rank_bits, width)
+    groups = {}
+    for index, tail in _rank_tails(n):
+        groups.setdefault(((head ^ tail) + fill) & guard, [0]).append(index)
+    return groups
+
+
+def _head_table(n: int) -> tuple[list[tuple], Counter]:
+    """One pass over the heads: a record for every head, and every size.
+
+    Returns a record (j, head, groups, words) for every head, in one-line
+    order, and the member count of each spin key.  words is R's
+    arrangements after an empty one, so that head.join writes the head
+    before each, and groups maps a spin key to the positions in words of
+    the head's part of that stratum, after a 0.  groups is the split that
+    all heads with the same partner ranks share (_rank_split).  The split
+    table is freed on return, before any stratum is read.
     """
     N = 2 * n
-    width, fill, guard, head_bits, tail_bits = _sweep_layout(n)
-    top = (n - 1) * width
-    values = range(1, N + 1)
-    everything = sum(1 << v for v in values)
-    # Every arrangement of each set of n values after an empty one, so that
-    # head.join(...) writes the head before each, and their tail masks, keyed
-    # by the set's mask.
+    bits = _sweep_layout(n)[3]
+    everything = sum(bits[1:])
+    # For each set R of n values, keyed by its mask: its arrangements, and
+    # the rank within R of each value's partner (n when the partner is not
+    # in R).
     tails = {}
-    for rest in itertools.combinations(values, n):
-        arrangements = list(itertools.permutations(rest))
-        tails[sum(1 << v for v in rest)] = (
-            [b"", *map(bytes, arrangements)],
-            [_grow_masks(tail[::-1], tail_bits, width) for tail in arrangements])
-    # the positions 1..n! of the arrangements, one int object for every order
-    positions = list(range(1, factorial(n) + 1))
-    # G's parts, as parallel lists: no tuple per part for the collector to track
-    g_heads, g_tails, records = [], [], []
-    add_head, add_tails, add_record = g_heads.append, g_tails.append, records.append
-    # A split is [its G group or None, its other groups, the heads that use it].
-    splits, patterns = {}, {}
-    for head in itertools.permutations(values, n):
-        head_masks = _grow_masks(head, head_bits, width)
-        head_bytes = bytes(head)
-        # The top field of the head masks is the set of the head's values.
-        rest = everything ^ (head_masks >> top)
-        j = 0
-        while j < n and rest >> (N + 1 - head[j]) & 1:
-            j += 1
-        words, masks = tails[rest]
-        if j == 0:
-            add_head(head_bytes)
-            add_tails(words)
-            continue
-        if j < n:
-            split = splits.get((rest, head[:j]))
-            if split is None:
-                groups = {}
-                for tail_bytes, tail_masks in zip(words[1:], masks):
-                    groups.setdefault(((head_masks ^ tail_masks) + fill) & guard,
-                                      [b""]).append(tail_bytes)
-                split = splits[rest, head[:j]] = [groups.pop(guard, None), groups, 0]
-            if split[0]:
-                add_head(head_bytes)
-                add_tails(split[0])
-        else:
-            # The m-th smallest value of R partners h's m-th largest value, so
-            # heads whose values come in the same order split R's
-            # arrangements alike.
-            order = tuple(sorted(range(n), key=head.__getitem__))
-            split = patterns.get(order)
-            if split is None:
-                groups = {}
-                for index, tail_masks in zip(positions, masks):
-                    groups.setdefault(((head_masks ^ tail_masks) + fill) & guard,
-                                      [0]).append(index)
-                split = patterns[order] = [None, groups, 0]
-        split[2] += 1
-        add_record((j, head_bytes, split[1], words if j == n else None))
+    for rest in itertools.combinations(range(1, N + 1), n):
+        rank = [n] * (N + 1)
+        for i, v in enumerate(rest):
+            rank[N + 1 - v] = i
+        tails[sum(map(bits.__getitem__, rest))] = (
+            [b"", *map(bytes, itertools.permutations(rest))], bytes(rank))
+    splits, uses, records = {}, Counter(), []
+    add_record = records.append
+    for head in map(bytes, itertools.permutations(range(1, N + 1), n)):
+        words, rank = tails[everything ^ sum(map(bits.__getitem__, head))]
+        ranks = tuple(itertools.takewhile(n.__gt__, map(rank.__getitem__, head)))
+        groups = splits.get(ranks)
+        if groups is None:
+            groups = splits[ranks] = _rank_split(n, ranks)
+        uses[ranks] += 1
+        add_record((len(ranks), head, groups, words))
     sizes = Counter()
-    for _, groups, uses in itertools.chain(splits.values(), patterns.values()):
+    for ranks, groups in splits.items():
         for key, group in groups.items():
-            sizes[key] += uses * (len(group) - 1)
-    sizes[guard] = sum(map(len, g_tails)) - len(g_tails)
-    return g_heads, g_tails, records, sizes
+            sizes[key] += uses[ranks] * (len(group) - 1)
+    return records, sizes
 
 
 def _joined_groups(records: list[tuple], key: int) -> Iterator[bytes]:
@@ -377,7 +368,7 @@ def _joined_groups(records: list[tuple], key: int) -> Iterator[bytes]:
     for _, head, groups, words in records:
         group = groups.get(key)
         if group is not None:
-            yield head.join(group if words is None else itemgetter(*group)(words))
+            yield head.join(itemgetter(*group)(words))
 
 
 def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
@@ -396,35 +387,27 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
     is one-line order overall.  Index k is spin when the last k values are
     the partners 2n+1-v of h's first k values v, so it is not spin once
     one of these partners lies in h.  Let j be the largest count with the
-    partners of h's first j values all in R; each head takes one of three
-    ways:
+    partners of h's first j values all in R.  itertools.permutations lists
+    every R's arrangements in the same order of ranks within R, so which
+    arrangements make an index k <= j spin depends only on the ranks
+    within R of those j partners.  Each rank tuple splits the positions of
+    the arrangements into strata once, for all the heads that share it
+    (_rank_split): the empty tuple (j = 0) sends every arrangement to G
+    (X_P empty), and at j = n the ranks are the reversed order of h's
+    values.  No head has j = n-1, as R would hold the partners of its
+    first n-1 values and of its last, so there are sum_j n!/(n-j)! - n!
+    tuples.  A test compares the tuple's prefix masks with an
+    arrangement's complemented-suffix masks, each grown once, in one
+    packed comparison: at n = 5, 206 splits and 24,720 tests place all
+    3,628,800 words.
 
-    * j = 0: no index is spin, and all of R's arrangements go to the
-      stratum of G (X_P empty);
-    * 0 < j < n: only indices up to j can be spin, and which are depends
-      on R and h's first j values alone, so each such pair splits R's
-      arrangements into strata once, for all the heads that share it.
-      Every split is kept for the whole pass;
-    * j = n: R holds the partners of all of h, so index n is spin and
-      none goes to G.  Which other indices are spin depends only on the
-      order of h's values, so each of the n! orders splits the positions
-      of R's arrangements into strata once.
-
-    A test compares the head's prefix masks, grown once per head, with the
-    arrangement's complemented-suffix masks, grown once per arrangement of
-    each set R, in one packed comparison.  At n = 5, 3,840 of the 30,240
-    heads take the last way, and 309,600 tests place all 3,628,800 words.
-
-    Nothing is copied in the pass.  G, most of the words (77.5 % at n = 5,
-    84 % at n = 6), is a head and a list of tails after an empty one for
-    each head with a G part (R's arrangements for j = 0, the split's G
-    group otherwise), and its chunks are the parts' head.join.  Each head
-    with j >= 1 is a record of its j, its bytes and its split's groups, and
-    stratum X, which only heads with j >= max X reach, is the head.join of
-    its group in each such record, in head order.  Every size is counted
-    in the pass and checked against the closed form before any chunk is
-    made.  A rank whose head table (_head_table_bytes) exceeds physical
-    memory is refused before the pass.
+    Nothing is copied in the pass.  Each head is a record of its j, its
+    bytes, its split and R's arrangements, and stratum X, which only heads
+    with j >= max X reach (every head, for G), is the head.join of the
+    arrangements at its group's positions in each such record, in head
+    order.  Every size is counted in the pass and checked against the
+    closed form before any chunk is made.  A rank whose head table
+    (_head_table_bytes) exceeds physical memory is refused before the pass.
     """
     if n > bound:
         raise EnumerationBoundError(
@@ -445,8 +428,8 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
             raise EnumerationBoundError(
                 f"n={n} needs {shown} bytes for its head table, more than the {have} "
                 f"bytes of physical memory")
-    g_heads, g_tails, records, sizes = _head_table(n)
-    width, _, guard = _sweep_layout(n)[:3]
+    records, sizes = _head_table(n)
+    width = _sweep_layout(n)[0]
     counts = stratum_counts(n)
     keys = {p: sum(1 << (k * width - 1) for k in range(1, n + 1) if k not in p.xp)
             for p in all_spin_parabolics(n)}
@@ -454,12 +437,12 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
         if sizes[key] != counts[p.xp]:
             raise StratumCountError(
                 f"stratum {p.label()} has {sizes[key]} members, closed form {counts[p.xp]}")
-    # by_min[m - 1]: the records with j >= m, in head order
+    # by_min[m - 1]: the records with j >= m, in head order, where the first
+    # also holds the heads with j = 0, as G reads every record
     by_min = [records]
     for m in range(2, n + 1):
         by_min.append([record for record in by_min[-1] if record[0] >= m])
-    return {p: (sizes[key], map(bytes.join, g_heads, g_tails) if key == guard
-                else _joined_groups(by_min[max(p.xp) - 1], key))
+    return {p: (sizes[key], _joined_groups(by_min[max(p.xp, default=1) - 1], key))
             for p, key in keys.items()}
 
 

@@ -72,28 +72,28 @@ class TestClassify:
             1, "", f"error: --bound must be >= 1, got {bound}\n")
 
     def test_memory_refusal(self, capsys, monkeypatch):
-        # n = 3 holds at most 63962 bytes of head table (refine._head_table_bytes)
-        monkeypatch.setattr(refine, "_physical_memory", lambda: 63961)
+        # n = 3 holds at most 68148 bytes of head table (refine._head_table_bytes)
+        monkeypatch.setattr(refine, "_physical_memory", lambda: 68147)
         code, out, err = run(capsys, "classify", "--n", "3")
         assert code == 2 and out == ""
-        assert err == ("error: n=3 needs 63962 bytes for its head table, more than the "
-                       "63961 bytes of physical memory\n")
+        assert err == ("error: n=3 needs 68148 bytes for its head table, more than the "
+                       "68147 bytes of physical memory\n")
         # (2000)!/1000! heads: the figure passes 10^60 and is not multiplied out
         assert run(capsys, "classify", "--n", "1000", "--bound", "1000") == (
             2, "", "error: n=1000 needs over 10^60 bytes for its head table, more than "
-                   "the 63961 bytes of physical memory\n")
+                   "the 68147 bytes of physical memory\n")
         # below 10^60 the figure is exact, however small the memory
         assert run(capsys, "classify", "--n", "20", "--bound", "20") == (
             2, "", f"error: n=20 needs {refine._head_table_bytes(20)} bytes for its head "
-                   f"table, more than the 63961 bytes of physical memory\n")
+                   f"table, more than the 68147 bytes of physical memory\n")
         # the heads, (400000)!/200000!, are multiplied out only until they
         # pass both the memory figure and 10^60, so a huge n ends at once
         start = time.perf_counter()
         assert run(capsys, "classify", "--n", "200000", "--bound", "200000") == (
             2, "", "error: n=200000 needs over 10^60 bytes for its head table, "
-                   "more than the 63961 bytes of physical memory\n")
+                   "more than the 68147 bytes of physical memory\n")
         assert time.perf_counter() - start < 0.5
-        monkeypatch.setattr(refine, "_physical_memory", lambda: 63962)
+        monkeypatch.setattr(refine, "_physical_memory", lambda: 68148)
         code, out, _ = run(capsys, "classify", "--n", "3", "--format", "json")
         assert code == 0 and json.loads(out)["total"] == 720
 
@@ -169,8 +169,9 @@ class TestClassify:
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_peak_rss_n5(self):
         # No stratum is held as bytes, only the head table: the run peaked
-        # about 12 MB above the import alone, about 18 MB when the strata
-        # other than G were presized buffers, and about 40 MB when G was one too
+        # about 7 MB above the import alone, about 12 MB while the splits were
+        # kept per rest and leading values, about 18 MB when the strata other
+        # than G were presized buffers, and about 40 MB when G was one too
         def peak_kib(*argv):
             proc = subprocess.run([sys.executable, "-c", self.PEAK_RSS, *argv],
                                   env=dict(os.environ, PYTHONPATH=str(SRC)),

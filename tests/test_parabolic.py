@@ -48,6 +48,73 @@ class TestConstruction:
         with pytest.raises(NotSpinError):
             SpinParabolic.from_composition((1, 3, 6))
 
+    @pytest.mark.parametrize("files, expected", [
+        # cgroup v2: the process's memory.max, or the lowest of its parents'
+        ({"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/memory.max": "1000000\n"},
+         1000000),
+        ({"/proc/self/cgroup": "0::/box/inner\n", "/sys/fs/cgroup/box/inner/memory.max": "max\n",
+          "/sys/fs/cgroup/box/memory.max": "3000000\n", "/sys/fs/cgroup/memory.max": "max\n"},
+         3000000),
+        # "max", garbage or no limit file: physical memory
+        ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "max\n"}, 4096000),
+        ({"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/memory.max": "lots\n"}, 4096000),
+        ({"/proc/self/cgroup": "0::/box\n"}, 4096000),
+        ({}, 4096000),
+        # a limit above physical memory
+        ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "9999999\n"}, 4096000),
+        # cgroup v1: the memory hierarchy's limit_in_bytes, the other
+        # controllers and malformed lines ignored
+        ({"/proc/self/cgroup": "5:cpu,cpuacct:/a\n4:memory:/a/b\nbad line\n3:memory:x\n",
+          "/sys/fs/cgroup/memory/a/b/memory.limit_in_bytes": "9223372036854771712\n",
+          "/sys/fs/cgroup/memory/a/memory.limit_in_bytes": "2000000\n",
+          "/sys/fs/cgroup/cpu,cpuacct/a/memory.limit_in_bytes": "1\n"},
+         2000000),
+        # a hybrid layout: the smaller of both
+        ({"/proc/self/cgroup": "4:memory:/a\n0::/a\n",
+          "/sys/fs/cgroup/memory/a/memory.limit_in_bytes": "2500000\n",
+          "/sys/fs/cgroup/a/memory.max": "1500000\n"},
+         1500000),
+    ])
+    def test_physical_memory_honours_the_cgroup_limit(self, monkeypatch, files, expected):
+        reads = []
+
+        def read(path):
+            reads.append(path)
+            return files.get(path)
+
+        monkeypatch.setattr(parabolic, "_read_text", read)
+        monkeypatch.setattr(parabolic.os, "sysconf",
+                            {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}.__getitem__)
+        parabolic.physical_memory.cache_clear()
+        try:
+            assert parabolic.physical_memory() == expected
+            # read once per process
+            count = len(reads)
+            assert parabolic.physical_memory() == expected and len(reads) == count
+        finally:
+            parabolic.physical_memory.cache_clear()
+
+    def test_physical_memory_without_sysconf(self, monkeypatch):
+        def no_sysconf(name):
+            raise ValueError(name)
+
+        files = {"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "1000000\n"}
+        monkeypatch.setattr(parabolic.os, "sysconf", no_sysconf)
+        parabolic.physical_memory.cache_clear()
+        try:
+            monkeypatch.setattr(parabolic, "_read_text", files.get)
+            assert parabolic.physical_memory() == 1000000
+            parabolic.physical_memory.cache_clear()
+            monkeypatch.setattr(parabolic, "_read_text", {}.get)
+            assert parabolic.physical_memory() is None
+        finally:
+            parabolic.physical_memory.cache_clear()
+
+    def test_read_text_of_a_missing_file_is_none(self, tmp_path):
+        assert parabolic._read_text(str(tmp_path / "missing")) is None
+        (tmp_path / "limit").write_text("123\n")
+        assert parabolic._read_text(str(tmp_path / "limit")) == "123\n"
+
     def test_huge_composition_refused_before_delta(self, monkeypatch):
         def build(parts):
             raise AssertionError("delta built")

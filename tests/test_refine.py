@@ -28,6 +28,34 @@ def extensions(pr):
     return [Refinement(pr.parabolic.n, w) for w in pr.coset.members()]
 
 
+def partner_ranks(n, head):
+    """The ranks within the rest R of the partners 2n+1-v of the head's first
+    values v, up to the first partner that is not in R."""
+    rest = sorted(set(range(1, 2 * n + 1)) - set(head))
+    ranks = []
+    for v in head:
+        if 2 * n + 1 - v not in rest:
+            break
+        ranks.append(rest.index(2 * n + 1 - v))
+    return tuple(ranks)
+
+
+def own_split(n, head):
+    """Each spin set of head + an arrangement of its own rest R, mapped to the
+    positions 1..n! of those arrangements after a 0, by is_r_spin."""
+    rest = sorted(set(range(1, 2 * n + 1)) - set(head))
+    groups = {}
+    for index, tail in enumerate(itertools.permutations(rest), 1):
+        r = Refinement(n, Perm(tuple(head) + tail))
+        spins = frozenset(k for k in range(1, n + 1) if is_r_spin(r, k))
+        groups.setdefault(spins, [0]).append(index)
+    return groups
+
+
+def split_by_spin_set(n, groups):
+    return {refine._key_spin_set(key, n): group for key, group in groups.items()}
+
+
 def stratum_counts_by_inclusion_exclusion(n):
     """The slow oracle for stratum_counts: the same closed form, with
     inclusion-exclusion summed over every superset of every X, O(4^n)."""
@@ -275,6 +303,44 @@ class TestStratify:
         finally:
             tracemalloc.stop()
         assert peak <= refine._head_table_bytes(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_head_split_matches_its_own_arrangements(self, n):
+        # the slow independent check of the sharing rule: each head's shared
+        # split, keyed by its partner ranks, equals the split of its own R,
+        # word by word with is_r_spin
+        records, _ = refine._head_table(n)
+        heads = list(itertools.permutations(range(1, 2 * n + 1), n))
+        assert [record[1] for record in records] == list(map(bytes, heads))
+        for (j, head, groups, words), values in zip(records, heads):
+            rest = sorted(set(range(1, 2 * n + 1)) - set(values))
+            assert words == [b"", *map(bytes, itertools.permutations(rest))]
+            assert j == len(partner_ranks(n, values))
+            assert split_by_spin_set(n, groups) == own_split(n, values), head
+
+    @pytest.mark.parametrize("n, seed", [(5, 5), (6, 6)])
+    def test_sampled_head_splits_match_their_own_arrangements(self, n, seed):
+        # two seeded heads for each j; at n = 5 read off the head table, at
+        # n = 6 (no table in Tier-1) from the split its ranks are keyed by.
+        # No head has j = n - 1: R would hold the partners of its first n - 1
+        # values and of its last.
+        rng = random.Random(seed)
+        sampled = {}
+        while len(sampled) < 2 * n:
+            values = tuple(rng.sample(range(1, 2 * n + 1), n))
+            ranks = partner_ranks(n, values)
+            if sum(len(other) == len(ranks) for other in sampled.values()) < 2:
+                sampled[values] = ranks
+        if n == 5:
+            records = refine._head_table(n)[0]
+            heads = list(itertools.permutations(range(1, 2 * n + 1), n))
+        for values, ranks in sampled.items():
+            if n == 5:
+                j, head, groups, _ = records[heads.index(values)]
+                assert (j, head) == (len(ranks), bytes(values))
+            else:
+                groups = refine._rank_split(n, ranks)
+            assert split_by_spin_set(n, groups) == own_split(n, values), values
 
     def test_counts_n3(self):
         strata = stratify(3)
