@@ -5,9 +5,8 @@ in its own ``__init__`` with ``set_field``.  An instance then equals only
 an instance of the same class with equal fields, hashes as the tuple of
 its fields, prints as ``Name(field=value, ...)``, pickles and copies, and
 refuses assignment and deletion with AttributeError.  A subclass that adds
-no field declares ``__slots__ = ()``; one that must stay mutable restores
-``object.__setattr__`` and ``object.__delattr__`` and sets ``__hash__`` to
-None.  A class may write its own ``__eq__`` and ``__hash__``.
+no field declares ``__slots__ = ()``.  An instance with a dict field is
+unhashable, as the tuple of its fields is.
 """
 
 from __future__ import annotations
@@ -40,10 +39,8 @@ class Value:
             def __hash__(self):
                 return hash(key(self))
 
-        if "__eq__" not in cls.__dict__:
-            cls.__eq__ = __eq__
-        if "__hash__" not in cls.__dict__:
-            cls.__hash__ = __hash__
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

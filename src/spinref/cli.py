@@ -16,8 +16,9 @@ Subcommands:
 Output is deterministic (members sorted by one-line notation) so tables
 diff cleanly.  Exit codes: 1 other usage errors (bad arguments included,
 and a --n or --bound below 1), 2 rank bound exceeded (classify, mtau),
-classify's head table larger than physical memory, a composition
-whose Levi cannot fit in physical memory (zeta, slopes, mtau), a zeta
+classify's head table larger than the memory this process may use (the
+smaller of physical memory and the cgroup limit), a composition whose
+Levi cannot fit in that memory (zeta, slopes, mtau), a zeta
 verdict that cannot (zeta), or an mtau text that does not fit in memory,
 3 malformed permutation, 4 missing, malformed or duplicate slope data,
 5 non-spin composition, 6 failed internal self-check.
@@ -318,10 +319,6 @@ def refinement_report(r: Refinement) -> dict:
                     for k, a in alphas.items()},
     }
     return report
-
-
-def parse_refinement_report(report: dict) -> Refinement:
-    return Refinement.from_one_line(report["sigma"])
 
 
 def cmd_info(args) -> int:

@@ -77,20 +77,17 @@ class PSVector(Value):
     """Sum of cell functions f_w with rational-function coefficients.
 
     The twist names the inducing character: coefficients multiply cells of
-    the series induced from theta composed with the twist.  Mutable, so
-    unhashable.
+    the series induced from theta composed with the twist.  Its terms dict
+    makes it unhashable.
     """
 
     __slots__ = ("twist", "terms")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
     twist: Perm
     terms: dict[Perm, RatFunc]
 
     def __init__(self, twist: Perm, terms: dict[Perm, RatFunc]) -> None:
-        self.twist = twist
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero}
+        set_field(self, "twist", twist)
+        set_field(self, "terms", {w: c for w, c in terms.items() if not c.is_zero})
 
     @classmethod
     def cell(cls, w: Perm) -> "PSVector":
@@ -126,19 +123,17 @@ class ParahoricVector(Value):
     """Parahoric-cell expansion: one coefficient per Levi coset.
 
     Expanding a coset cell into the Iwahori basis sums the cells of all
-    coset members with equal coefficients.  Mutable, so unhashable.
+    coset members with equal coefficients.  Its cosets dict makes it
+    unhashable.
     """
 
     __slots__ = ("twist", "cosets")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
     twist: Perm
     cosets: dict[LeviCoset, RatFunc]
 
     def __init__(self, twist: Perm, cosets: dict[LeviCoset, RatFunc]) -> None:
-        self.twist = twist
-        self.cosets = cosets
+        set_field(self, "twist", twist)
+        set_field(self, "cosets", cosets)
 
     def expand(self) -> PSVector:
         out = PSVector(self.twist, {})
@@ -285,14 +280,17 @@ def m_tau_expansion_oracle(n: int, p: SpinParabolic) -> dict[LeviCoset, RatFunc]
 
 
 def _rho_of_gl_coset(gl_coset: LeviCoset, n: int) -> Perm:
-    """Recover the lower-block element rho from the coset of w(rho)."""
-    for w in gl_coset.members():
-        tail = w.images[n:]
-        if tail == tuple(range(n, 0, -1)):
-            head = tuple(v - n for v in w.images[:n])
-            if all(1 <= h <= n for h in head):
-                return Perm(head)
-    raise ValueError("coset does not come from the lower block")
+    """Recover the lower-block element rho from the coset of w(rho).
+
+    The minimal representative sorts w(rho)'s first n values, n + rho(i),
+    within p's lower blocks, so less n they are rho up to its lower-block
+    coset.  A coset that holds no w(rho) raises ValueError.
+    """
+    head = tuple(v - n for v in gl_coset.rep.images[:n])
+    if sorted(head) != list(range(1, n + 1)) or \
+            LeviCoset.of(w_of_rho(Perm(head)), gl_coset.delta) != gl_coset:
+        raise ValueError("coset does not come from the lower block")
+    return Perm(head)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +383,7 @@ def zeta_support_verdict(p: SpinParabolic, beta: int) -> SupportVerdict:
         if need > have:
             raise RankMemoryError(
                 f"zeta at n={p.n} needs about {need} bytes, more than the {have} bytes "
-                f"of physical memory")
+                f"of memory this process may use")
     exps = p.staircase_cochar().coeffs
     n = p.n
     z1 = tuple(beta * e for e in exps[:n])

@@ -31,7 +31,8 @@ class SelfCheckError(RuntimeError):
 
 
 class RankMemoryError(ValueError):
-    """A composition whose Levi's simple roots cannot fit in physical memory."""
+    """A rank whose Levi's simple roots, or zeta verdict, cannot fit in the
+    memory this process may use (physical_memory)."""
 
 
 def _read_text(path: str) -> str | None:
@@ -118,15 +119,6 @@ class SpinParabolic(Value):
         set_field(self, "composition", composition)
         set_field(self, "xp", frozenset(i for i in range(1, n + 1) if i not in delta))
 
-    # written out for speed, as on weyl.Perm; composition and xp follow from n and delta
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.delta == other.delta
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.delta, self.composition, self.xp))
-
     @classmethod
     def from_composition(cls, parts: Iterable[int]) -> "SpinParabolic":
         """Spin parabolic with Levi GL(m_1) x ... x GL(m_r); m must be a palindrome.
@@ -136,7 +128,7 @@ class SpinParabolic(Value):
         memory.  Building delta peaks at about 100 bytes per index (an int
         object, the set's table as it grows, the frozenset's copy; 99 to 116
         measured on 64-bit CPython 3.11), so a rank for which 100 bytes per
-        index exceed physical memory raises RankMemoryError.
+        index exceed the memory this process may use raises RankMemoryError.
         """
         parts = tuple(parts)
         if not parts or any(m <= 0 for m in parts):
@@ -150,8 +142,8 @@ class SpinParabolic(Value):
         if have is not None and 100 * (total - len(parts)) > have:
             shown = f"n={n}" if n < 10 ** 60 else "n above 10^60"
             raise RankMemoryError(
-                f"rank {shown} needs more than the {have} bytes of physical memory for "
-                f"the Levi of its composition")
+                f"rank {shown} needs more than the {have} bytes of memory this process "
+                f"may use for the Levi of its composition")
         return cls(n, composition_delta(parts))
 
     @classmethod

@@ -150,32 +150,23 @@ def _grow_masks(values, bits: tuple[int, ...], width: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _sweep_layout(n: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
-    """Field width, fill, guard bits, and head and tail value bits at rank n.
+def _sweep_layout(n: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """Field width, fill, guard bits, and the bit of each of 0..2n at rank n.
 
-    The sweep packs the masks of the first 1..n one-line values (head
-    masks, value v as bit v) and of the last 1..n values read from the end
-    (tail masks, value v as bit 2n+1-v, the bit of its partner); index k is
-    spin exactly when field k-1 of the two agrees.  A field holds a mask
-    below bit 2n+1, so adding the fill 2^(2n+1) - 1 to a field of
-    head ^ tail sets the field's guard bit 2n+1 exactly when the masks
-    differ, without carrying into the next field.  The spin key
-    ((head ^ tail) + fill) & guard thus has a guard bit set for each index
-    that is not spin.
+    stratum_words compares many words in one packed comparison: _grow_masks
+    packs the masks of the first 1..n of some values, a field per count,
+    and index k is spin exactly when field k-1 of the two packs compared
+    agrees (see _rank_split).  A field holds a mask below bit 2n+1, so
+    adding the fill 2^(2n+1) - 1 to a field of head ^ tail sets the field's
+    guard bit 2n+1 exactly when the masks differ, without carrying into the
+    next field.  The spin key ((head ^ tail) + fill) & guard thus has a
+    guard bit set for each index that is not spin.
     """
     N1 = 2 * n + 1
     width = N1 + 1
     fill = sum(((1 << N1) - 1) << (k * width) for k in range(n))
     guard = sum(1 << (N1 + k * width) for k in range(n))
-    return (width, fill, guard, tuple(1 << v for v in range(N1)),
-            tuple(1 << (N1 - v) for v in range(N1)))
-
-
-@lru_cache(maxsize=None)
-def _key_spin_set(key: int, n: int) -> frozenset[int]:
-    """The spin indices of a spin key: those whose guard bit is clear."""
-    width = _sweep_layout(n)[0]
-    return frozenset(k for k in range(1, n + 1) if not (key >> (k * width - 1)) & 1)
+    return width, fill, guard, tuple(1 << v for v in range(N1))
 
 
 @lru_cache(maxsize=None)
@@ -200,12 +191,20 @@ def is_P_spin(r: Refinement, p: SpinParabolic, method: str = "combinatorial") ->
 
 
 def spin_set(r: Refinement) -> frozenset[int]:
-    """All k in 1..n for which the refinement is k-spin, in one bitmask sweep."""
-    n, images = r.n, r.sigma.images
-    width, fill, guard, head_bits, tail_bits = _sweep_layout(n)
-    head = _grow_masks(images[:n], head_bits, width)
-    tail = _grow_masks(images[:n - 1:-1], tail_bits, width)
-    return _key_spin_set(((head ^ tail) + fill) & guard, n)
+    """All k in 1..n for which the refinement is k-spin.
+
+    Grows a mask of the first k values and one of the partners 2n+1-v of
+    the last k values together; k is spin when they agree.
+    """
+    images, N1 = r.sigma.images, 2 * r.n + 1
+    first = partners = 0
+    spins = []
+    for k in range(r.n):
+        first |= 1 << images[k]
+        partners |= 1 << (N1 - images[-1 - k])
+        if first == partners:
+            spins.append(k + 1)
+    return frozenset(spins)
 
 
 def optimal_parabolic(r: Refinement) -> SpinProfile:
@@ -299,7 +298,7 @@ def _head_table_bytes(n: int) -> int:
 def _rank_tails(n: int) -> tuple[tuple[int, int], ...]:
     """Each arrangement of the ranks 0..n-1 as its position 1..n! and its
     tail mask (rank r as bit r); every split shares these position ints."""
-    width, _, _, rank_bits, _ = _sweep_layout(n)
+    width, _, _, rank_bits = _sweep_layout(n)
     return tuple((index, _grow_masks(arrangement[::-1], rank_bits, width))
                  for index, arrangement in enumerate(itertools.permutations(range(n)), 1))
 
@@ -314,7 +313,7 @@ def _rank_split(n: int, ranks: tuple[int, ...]) -> dict[int, list[int]]:
     arrangement holds, pads the head's masks so that no index above j is
     spin.
     """
-    width, fill, guard, rank_bits, _ = _sweep_layout(n)
+    width, fill, guard, rank_bits = _sweep_layout(n)
     head = _grow_masks(ranks + (n,) * (n - len(ranks)), rank_bits, width)
     groups = {}
     for index, tail in _rank_tails(n):
@@ -368,7 +367,8 @@ def _joined_groups(records: list[tuple], key: int) -> Iterator[bytes]:
     for _, head, groups, words in records:
         group = groups.get(key)
         if group is not None:
-            yield head.join(itemgetter(*group)(words))
+            # a group of every position (G at j = 0) is words itself
+            yield head.join(words if len(group) == len(words) else itemgetter(*group)(words))
 
 
 def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
@@ -407,7 +407,8 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
     arrangements at its group's positions in each such record, in head
     order.  Every size is counted in the pass and checked against the
     closed form before any chunk is made.  A rank whose head table
-    (_head_table_bytes) exceeds physical memory is refused before the pass.
+    (_head_table_bytes) exceeds the memory this process may use
+    (parabolic.physical_memory) is refused before the pass.
     """
     if n > bound:
         raise EnumerationBoundError(
@@ -427,7 +428,7 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
             shown = need if need < 10 ** 60 else "over 10^60"
             raise EnumerationBoundError(
                 f"n={n} needs {shown} bytes for its head table, more than the {have} "
-                f"bytes of physical memory")
+                f"bytes of memory this process may use")
     records, sizes = _head_table(n)
     width = _sweep_layout(n)[0]
     counts = stratum_counts(n)

@@ -44,16 +44,6 @@ class Perm(Value):
             seen |= 1 << v
         set_field(self, "images", images)
 
-    # == and hash, the same as Value's, written out: they are on the mtau
-    # and query paths, where attribute access by name is about 1.5x slower.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
     @classmethod
     def identity(cls, N: int) -> "Perm":
         return cls(tuple(range(1, N + 1)))
@@ -296,15 +286,6 @@ class LeviCoset(Value):
         set_field(self, "rep", rep)
         set_field(self, "delta", delta)
 
-    # written out for speed, as on Perm
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.rep == other.rep and self.delta == other.delta
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rep, self.delta))
-
     @classmethod
     def of(cls, sigma: Perm, delta: Iterable[int]) -> "LeviCoset":
         delta = frozenset(delta)
@@ -349,19 +330,20 @@ def simple_trichotomy(s: int, coset: LeviCoset) -> Trichotomy:
     """How left multiplication by the simple reflection s_s moves a coset.
 
     Exactly one of three things happens: s_s permutes the coset, or it
-    shortens every member, or it lengthens every member.  The verdict can
-    be read off the minimal representative alone.
+    shortens every member, or it lengthens every member.  s_s swaps the
+    values s and s+1, so the minimal representative decides: it permutes
+    the coset when the two share a position block, and otherwise shortens
+    every member when s+1 comes first and lengthens every member when s
+    does.
     """
     N = coset.degree
     if not (1 <= s <= N - 1):
         raise ValueError(f"simple reflection index {s} outside 1..{N - 1}")
-    w_min = coset.rep
-    sw = Perm.simple(s, N) * w_min
-    if coset_min_rep(sw, coset.delta) == w_min:
+    images = coset.rep.images
+    at, at_next = images.index(s), images.index(s + 1)
+    if coset.delta.issuperset(range(min(at, at_next) + 1, max(at, at_next) + 1)):
         return Trichotomy.PERMUTES
-    if sw.length() < w_min.length():
-        return Trichotomy.ALL_SHORTER
-    return Trichotomy.ALL_LONGER
+    return Trichotomy.ALL_SHORTER if at_next < at else Trichotomy.ALL_LONGER
 
 
 def generate_subgroup(gens: list, identity):

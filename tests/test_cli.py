@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from spinref import cli, intertwine, refine
-from spinref.cli import main, parse_refinement_report, refinement_report
+from spinref.cli import main, refinement_report
 from spinref.parabolic import all_spin_parabolics
 from spinref.ratfunc import RatFunc
+from spinref.refine import Refinement
 from spinref.weyl import Perm, format_one_line
 
 DATA = Path(__file__).parent / "data"
@@ -77,21 +78,21 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--n", "3")
         assert code == 2 and out == ""
         assert err == ("error: n=3 needs 68148 bytes for its head table, more than the "
-                       "68147 bytes of physical memory\n")
+                       "68147 bytes of memory this process may use\n")
         # (2000)!/1000! heads: the figure passes 10^60 and is not multiplied out
         assert run(capsys, "classify", "--n", "1000", "--bound", "1000") == (
             2, "", "error: n=1000 needs over 10^60 bytes for its head table, more than "
-                   "the 68147 bytes of physical memory\n")
+                   "the 68147 bytes of memory this process may use\n")
         # below 10^60 the figure is exact, however small the memory
         assert run(capsys, "classify", "--n", "20", "--bound", "20") == (
             2, "", f"error: n=20 needs {refine._head_table_bytes(20)} bytes for its head "
-                   f"table, more than the 68147 bytes of physical memory\n")
+                   f"table, more than the 68147 bytes of memory this process may use\n")
         # the heads, (400000)!/200000!, are multiplied out only until they
         # pass both the memory figure and 10^60, so a huge n ends at once
         start = time.perf_counter()
         assert run(capsys, "classify", "--n", "200000", "--bound", "200000") == (
             2, "", "error: n=200000 needs over 10^60 bytes for its head table, "
-                   "more than the 68147 bytes of physical memory\n")
+                   "more than the 68147 bytes of memory this process may use\n")
         assert time.perf_counter() - start < 0.5
         monkeypatch.setattr(refine, "_physical_memory", lambda: 68148)
         code, out, _ = run(capsys, "classify", "--n", "3", "--format", "json")
@@ -242,7 +243,7 @@ class TestInfo:
     def test_round_trip(self, capsys):
         code, out, _ = run(capsys, "info", "--sigma", "2134")
         payload = json.loads(out)
-        rebuilt = refinement_report(parse_refinement_report(payload))
+        rebuilt = refinement_report(Refinement.from_one_line(payload["sigma"]))
         assert rebuilt == payload
 
     def test_malformed(self, capsys):
@@ -487,7 +488,7 @@ class TestZeta:
         monkeypatch.setattr(intertwine, "_physical_memory", lambda: 1571)
         assert run(capsys, "zeta", "--parabolic", "3,3") == (
             2, "", "error: zeta at n=3 needs about 1572 bytes, more than the 1571 bytes "
-                   "of physical memory\n")
+                   "of memory this process may use\n")
         monkeypatch.setattr(intertwine, "_physical_memory", lambda: 1572)
         code, out, _ = run(capsys, "zeta", "--parabolic", "3,3")
         assert code == 0 and "no forced vanishing" in out
@@ -496,7 +497,7 @@ class TestZeta:
         monkeypatch.setattr(intertwine, "_physical_memory", lambda: 5000)
         assert run(capsys, "zeta", "--parabolic", "3,3", "--beta", "9" * 300) == (
             2, "", "error: zeta at n=3 needs about 5148 bytes, more than the 5000 bytes "
-                   "of physical memory\n")
+                   "of memory this process may use\n")
 
 
 def query_requests(kind, n, fmt):
@@ -795,7 +796,8 @@ class TestEntryPoint:
         proc = self.spinref(command, "--parabolic", f"{self.HUGE},{self.HUGE}")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: rank n above 10^60 needs more than the ")
-        assert proc.stderr.endswith(" bytes of physical memory for the Levi of its composition\n")
+        assert proc.stderr.endswith(" bytes of memory this process may use for the Levi of "
+                                    "its composition\n")
 
     def test_malformed_permutation(self):
         proc = self.spinref("info", "--sigma", "1135")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinref.intertwine import (ParahoricVector, PSVector, T_s, c_s,
+from spinref.intertwine import (ParahoricVector, PSVector, T_s, _rho_of_gl_coset, c_s,
                                 factorisation_membership, lower_block_composition,
                                 m_tau_expansion, m_tau_expansion_oracle, nu_beta, w_of_rho,
                                 zeta_support_verdict)
@@ -281,6 +281,26 @@ class TestMTau:
                 for letter in range(1, n):
                     assert simple_trichotomy(letter, coset) is \
                         simple_trichotomy(n + letter, gl_coset)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rho_read_off_the_gl_coset(self, n):
+        # the oracle reads rho off the minimal representative of the GL(2n)
+        # coset of w(rho); it must land in rho's own lower-block coset
+        for p in all_spin_parabolics(n):
+            if not p.contained_in_nn:
+                continue
+            delta_k = _delta_of(lower_block_composition(p), n)
+            for images in itertools.permutations(range(1, n + 1)):
+                rho = Perm(images)
+                gl_coset = LeviCoset.of(w_of_rho(rho), p.delta)
+                assert LeviCoset.of(_rho_of_gl_coset(gl_coset, n), delta_k) == \
+                    LeviCoset.of(rho, delta_k)
+            # the first n values are not n+1..2n
+            with pytest.raises(ValueError, match="does not come from the lower block"):
+                _rho_of_gl_coset(LeviCoset.of(Perm.identity(2 * n), p.delta), n)
+        # the first n values are, but the last n are not those of any w(rho)
+        with pytest.raises(ValueError, match="does not come from the lower block"):
+            _rho_of_gl_coset(LeviCoset.of(Perm((3, 4, 1, 2)), frozenset()), 2)
 
 
 class TestNuBeta:

@@ -41,8 +41,8 @@ class TestConstruction:
         monkeypatch.setattr(parabolic, "physical_memory", lambda: 100 * 4)
         assert SpinParabolic.from_composition((3, 3)).delta == frozenset({1, 2, 4, 5})
         with pytest.raises(RankMemoryError, match=r"^rank n=5 needs more than the 400 bytes "
-                                                  r"of physical memory for the Levi of its "
-                                                  r"composition$"):
+                                                  r"of memory this process may use for the "
+                                                  r"Levi of its composition$"):
             SpinParabolic.from_composition((1, 4, 4, 1))
         # the palindrome is checked first
         with pytest.raises(NotSpinError):

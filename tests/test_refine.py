@@ -53,7 +53,11 @@ def own_split(n, head):
 
 
 def split_by_spin_set(n, groups):
-    return {refine._key_spin_set(key, n): group for key, group in groups.items()}
+    """A split keyed by spin sets: index k is spin when the guard bit of
+    field k, the top one of its 2n + 2 bits, is clear in the spin key."""
+    width = 2 * n + 2
+    return {frozenset(k for k in range(1, n + 1) if not key >> (k * width - 1) & 1): group
+            for key, group in groups.items()}
 
 
 def stratum_counts_by_inclusion_exclusion(n):

@@ -179,29 +179,35 @@ class TestTrichotomy:
         coset = LeviCoset.of(Perm.identity(4), frozenset())
         assert simple_trichotomy(1, coset) is Trichotomy.ALL_LONGER
 
-    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("N", [4, 6, 8])
     def test_exhaustive_member_wise(self, N):
-        deltas = [frozenset(s) for r in range(N)
-                  for s in itertools.combinations(range(1, N), r)]
-        seen_cosets = set()
-        for images in itertools.permutations(range(1, N + 1)):
-            sigma = Perm(images)
-            for delta in deltas:
-                coset = LeviCoset.of(sigma, delta)
-                if (coset.rep.images, delta) in seen_cosets:
-                    continue
-                seen_cosets.add((coset.rep.images, delta))
-                for s in range(1, N):
-                    verdict = simple_trichotomy(s, coset)
-                    members = list(coset.members())
-                    simple = Perm.simple(s, N)
-                    if verdict is Trichotomy.PERMUTES:
-                        assert {(simple * m).images for m in members} == \
-                            {m.images for m in members}
-                    elif verdict is Trichotomy.ALL_SHORTER:
-                        assert all((simple * m).length() < m.length() for m in members)
-                    else:
-                        assert all((simple * m).length() > m.length() for m in members)
+        # every coset at N = 4 and 6; at N = 8, 300 seeded cosets of at
+        # most 1,000 members each
+        if N < 8:
+            deltas = [frozenset(s) for r in range(N)
+                      for s in itertools.combinations(range(1, N), r)]
+            cosets = {LeviCoset.of(Perm(images), delta) for delta in deltas
+                      for images in itertools.permutations(range(1, N + 1))}
+        else:
+            rng = random.Random(N)
+            cosets = set()
+            while len(cosets) < 300:
+                delta = frozenset(i for i in range(1, N) if rng.random() < 0.5)
+                coset = LeviCoset.of(Perm(tuple(rng.sample(range(1, N + 1), N))), delta)
+                if coset.size() <= 1000:
+                    cosets.add(coset)
+        for coset in cosets:
+            members = list(coset.members())
+            for s in range(1, N):
+                verdict = simple_trichotomy(s, coset)
+                simple = Perm.simple(s, N)
+                if verdict is Trichotomy.PERMUTES:
+                    assert {(simple * m).images for m in members} == \
+                        {m.images for m in members}
+                elif verdict is Trichotomy.ALL_SHORTER:
+                    assert all((simple * m).length() < m.length() for m in members)
+                else:
+                    assert all((simple * m).length() > m.length() for m in members)
 
 
 class TestGSpinAction:
