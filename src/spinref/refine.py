@@ -135,40 +135,6 @@ def is_r_spin(r: Refinement, k: int) -> bool:
     return first == partners
 
 
-def _grow_masks(values, bits: tuple[int, ...], width: int) -> int:
-    """Bitmasks of the first 1, 2, ... values, packed into fields of width bits.
-
-    Field k (counted from the low end, from 0) holds the set
-    {values[0], ..., values[k]} as the sum of bits[v].
-    """
-    mask = packed = shift = 0
-    for v in values:
-        mask |= bits[v]
-        packed |= mask << shift
-        shift += width
-    return packed
-
-
-@lru_cache(maxsize=None)
-def _sweep_layout(n: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """Field width, fill, guard bits, and the bit of each of 0..2n at rank n.
-
-    stratum_words compares many words in one packed comparison: _grow_masks
-    packs the masks of the first 1..n of some values, a field per count,
-    and index k is spin exactly when field k-1 of the two packs compared
-    agrees (see _rank_split).  A field holds a mask below bit 2n+1, so
-    adding the fill 2^(2n+1) - 1 to a field of head ^ tail sets the field's
-    guard bit 2n+1 exactly when the masks differ, without carrying into the
-    next field.  The spin key ((head ^ tail) + fill) & guard thus has a
-    guard bit set for each index that is not spin.
-    """
-    N1 = 2 * n + 1
-    width = N1 + 1
-    fill = sum(((1 << N1) - 1) << (k * width) for k in range(n))
-    guard = sum(1 << (N1 + k * width) for k in range(n))
-    return width, fill, guard, tuple(1 << v for v in range(N1))
-
-
 @lru_cache(maxsize=None)
 def _wg0_minreps(n: int, delta: frozenset[int]) -> frozenset[tuple[int, ...]]:
     """Minimal representatives of the cosets zeta * W_L meeting W0."""
@@ -259,48 +225,56 @@ def _head_table_bytes(n: int) -> int:
 
     Counted on 64-bit CPython: a list or dict slot at 9 bytes (lists
     grow by an eighth), a dict entry at 56, a dict at 224 and a list at 104
-    with its slack, a bytes object of m values at 33 + m, an int below
-    n! at 32, and a mask or spin key at an int of n * (2n + 2) bits.  The
-    table holds
+    with its slack, a pair at 56, a bytes object of m values at 33 + m,
+    and an int (a mask, a position or a spin set) at 32.  The table holds
 
     * C(2n, n) sets R, each with its n! arrangements as bytes, in a list
       after an empty one, and the ranks of the partners as bytes;
-    * the n! masks of the rank arrangements, and their positions 1..n!;
+    * the suffix index (_suffix_positions): the positions 1..n!, and for
+      each of the 2^n sets of ranks its (k, mask) key and a list of
+      positions, n slots per position in all;
     * (2n)!/n! heads (as many as arrangements), each its bytes, a record
       of four and a slot in the records and in each by_min list;
     * one split per ordered choice of j of the n ranks, for j = 0..n
       other than n-1 (see stratum_words), each with its key, n! position
-      slots and at most 2^j groups;
+      slots and at most 2^j groups, and the n! spin sets of the split
+      being made;
     * about 1 kB for each stratum's parabolic, key and count, a chunk
       being read (its positions, its tails and its bytes), and 16 kB for
       what a process makes once (the caches, the memory limit's reads).
 
     Measured with tracemalloc on 64-bit CPython 3.11, stratum_words and
-    the reading of every stratum peaked at about 40 kB, 0.39 MB and 6.2 MB
-    at n = 3, 4 and 5; this bound gives 1.2 to 1.7 times as much.  At n = 6
-    it is 161 MB against a traced 129 MB, and a whole classify run peaked
-    at 157 MB of RSS; at n = 7 it is 4.4 GB.
+    the reading of every stratum peaked at about 37 kB, 0.38 MB and 6.1 MB
+    at n = 3, 4 and 5; this bound gives 1.2 to 1.9 times as much.  At n = 6
+    it is 161 MB against a traced 128 MB, and a whole classify run peaked
+    at 156 MB of RSS; at n = 7 it is 4.4 GB.
     """
     F, C = factorial(n), comb(2 * n, n)
-    SLOT, ENTRY, DICT, LIST = 9, 56, 224, 104
+    SLOT, ENTRY, DICT, LIST, PAIR, INT = 9, 56, 224, 104, 56, 32
     word = 33 + n
-    mask = 24 + 4 * -(-n * (2 * n + 2) // 30)
-    total = (16384 + 1024 * 2 ** n + C * (ENTRY + 32 + 56 + LIST + 34 + 2 * n)
+    total = (16384 + 1024 * 2 ** n + C * (ENTRY + INT + PAIR + LIST + 34 + 2 * n)
              + C * F * (2 * word + 72 + (n + 1) * SLOT)
-             + F * (mask + 32 + 2 * SLOT) + 2 * n * F + 2 * F * SLOT + 3 * LIST)
+             + F * (INT + (n + 2) * SLOT) + 2 ** n * (ENTRY + PAIR + INT + LIST) + LIST)
     for j in (*range(n - 1), n):
         total += F // factorial(n - j) * (ENTRY + 40 + 8 * j + LIST + DICT + F * SLOT
-                                          + 2 ** j * (ENTRY + LIST + mask))
+                                          + 2 ** j * (ENTRY + LIST + INT))
     return total
 
 
 @lru_cache(maxsize=None)
-def _rank_tails(n: int) -> tuple[tuple[int, int], ...]:
-    """Each arrangement of the ranks 0..n-1 as its position 1..n! and its
-    tail mask (rank r as bit r); every split shares these position ints."""
-    width, _, _, rank_bits = _sweep_layout(n)
-    return tuple((index, _grow_masks(arrangement[::-1], rank_bits, width))
-                 for index, arrangement in enumerate(itertools.permutations(range(n)), 1))
+def _suffix_positions(n: int) -> tuple[tuple[int, ...], dict[tuple[int, int], list[int]]]:
+    """The positions 1..n! of the arrangements of the ranks 0..n-1, and for
+    each k and set of k ranks (rank r as bit r), the positions of the
+    arrangements whose last k ranks form that set.  Every split shares
+    these position ints."""
+    positions = tuple(range(1, factorial(n) + 1))
+    index = {}
+    for position, arrangement in zip(positions, itertools.permutations(range(n))):
+        mask = 0
+        for k, rank in enumerate(reversed(arrangement), 1):
+            mask |= 1 << rank
+            index.setdefault((k, mask), []).append(position)
+    return positions, index
 
 
 def _rank_split(n: int, ranks: tuple[int, ...]) -> dict[int, list[int]]:
@@ -308,16 +282,21 @@ def _rank_split(n: int, ranks: tuple[int, ...]) -> dict[int, list[int]]:
 
     ranks holds the rank within R of the partner of each of the head's
     first j values, for the longest run whose partners lie in R (see
-    stratum_words).  The result maps a spin key to the positions 1..n! of
-    the arrangements that give it, after a 0.  The rank n, which no
-    arrangement holds, pads the head's masks so that no index above j is
-    spin.
+    stratum_words).  Index k <= j is spin exactly when an arrangement's
+    last k ranks are the first k of ranks, and no index above j is spin.
+    The result maps a spin set (k as bit k-1) to the positions 1..n! of
+    the arrangements that give it, after a 0.
     """
-    width, fill, guard, rank_bits = _sweep_layout(n)
-    head = _grow_masks(ranks + (n,) * (n - len(ranks)), rank_bits, width)
+    positions, index = _suffix_positions(n)
+    keys = [0] * (len(positions) + 1)
+    mask = 0
+    for k, rank in enumerate(ranks, 1):
+        mask |= 1 << rank
+        for position in index[k, mask]:
+            keys[position] |= 1 << (k - 1)
     groups = {}
-    for index, tail in _rank_tails(n):
-        groups.setdefault(((head ^ tail) + fill) & guard, [0]).append(index)
+    for position in positions:
+        groups.setdefault(keys[position], [0]).append(position)
     return groups
 
 
@@ -325,15 +304,16 @@ def _head_table(n: int) -> tuple[list[tuple], Counter]:
     """One pass over the heads: a record for every head, and every size.
 
     Returns a record (j, head, groups, words) for every head, in one-line
-    order, and the member count of each spin key.  words is R's
-    arrangements after an empty one, so that head.join writes the head
-    before each, and groups maps a spin key to the positions in words of
+    order, and the member count of each spin set (k as bit k-1).  words is
+    R's arrangements after an empty one, so that head.join writes the head
+    before each, and groups maps a spin set to the positions in words of
     the head's part of that stratum, after a 0.  groups is the split that
-    all heads with the same partner ranks share (_rank_split).  The split
-    table is freed on return, before any stratum is read.
+    all heads with the same partner ranks share (_rank_split).  Sets of
+    values are masks (v as bit v).  The split table is freed on return,
+    before any stratum is read.
     """
     N = 2 * n
-    bits = _sweep_layout(n)[3]
+    bits = tuple(1 << v for v in range(N + 1))
     everything = sum(bits[1:])
     # For each set R of n values, keyed by its mask: its arrangements, and
     # the rank within R of each value's partner (n when the partner is not
@@ -396,10 +376,11 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
     (X_P empty), and at j = n the ranks are the reversed order of h's
     values.  No head has j = n-1, as R would hold the partners of its
     first n-1 values and of its last, so there are sum_j n!/(n-j)! - n!
-    tuples.  A test compares the tuple's prefix masks with an
-    arrangement's complemented-suffix masks, each grown once, in one
-    packed comparison: at n = 5, 206 splits and 24,720 tests place all
-    3,628,800 words.
+    tuples.  A split keys each arrangement by its spin set (k as bit k-1):
+    for each k <= j it sets bit k-1 of the arrangements whose last k ranks
+    are the set of the tuple's first k, listed in one index of suffix sets
+    (_suffix_positions).  At n = 5, 206 splits group 24,720 positions and
+    place all 3,628,800 words.
 
     Nothing is copied in the pass.  Each head is a record of its j, its
     bytes, its split and R's arrangements, and stratum X, which only heads
@@ -430,10 +411,8 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
                 f"n={n} needs {shown} bytes for its head table, more than the {have} "
                 f"bytes of memory this process may use")
     records, sizes = _head_table(n)
-    width = _sweep_layout(n)[0]
     counts = stratum_counts(n)
-    keys = {p: sum(1 << (k * width - 1) for k in range(1, n + 1) if k not in p.xp)
-            for p in all_spin_parabolics(n)}
+    keys = {p: sum(1 << (k - 1) for k in p.xp) for p in all_spin_parabolics(n)}
     for p, key in keys.items():
         if sizes[key] != counts[p.xp]:
             raise StratumCountError(

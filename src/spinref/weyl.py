@@ -282,14 +282,15 @@ class LeviCoset(Value):
     rep: Perm
     delta: frozenset[int]
 
-    def __init__(self, rep: Perm, delta: frozenset[int]) -> None:
-        set_field(self, "rep", rep)
+    def __init__(self, rep: Perm, delta: Iterable[int]) -> None:
+        """The coset of rep, which may be any member."""
+        delta = frozenset(delta)
+        set_field(self, "rep", coset_min_rep(rep, delta))
         set_field(self, "delta", delta)
 
     @classmethod
     def of(cls, sigma: Perm, delta: Iterable[int]) -> "LeviCoset":
-        delta = frozenset(delta)
-        return cls(coset_min_rep(sigma, delta), delta)
+        return cls(sigma, delta)
 
     @property
     def degree(self) -> int:

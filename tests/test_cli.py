@@ -73,28 +73,28 @@ class TestClassify:
             1, "", f"error: --bound must be >= 1, got {bound}\n")
 
     def test_memory_refusal(self, capsys, monkeypatch):
-        # n = 3 holds at most 68148 bytes of head table (refine._head_table_bytes)
-        monkeypatch.setattr(refine, "_physical_memory", lambda: 68147)
+        # n = 3 holds at most 69994 bytes of head table (refine._head_table_bytes)
+        monkeypatch.setattr(refine, "_physical_memory", lambda: 69993)
         code, out, err = run(capsys, "classify", "--n", "3")
         assert code == 2 and out == ""
-        assert err == ("error: n=3 needs 68148 bytes for its head table, more than the "
-                       "68147 bytes of memory this process may use\n")
+        assert err == ("error: n=3 needs 69994 bytes for its head table, more than the "
+                       "69993 bytes of memory this process may use\n")
         # (2000)!/1000! heads: the figure passes 10^60 and is not multiplied out
         assert run(capsys, "classify", "--n", "1000", "--bound", "1000") == (
             2, "", "error: n=1000 needs over 10^60 bytes for its head table, more than "
-                   "the 68147 bytes of memory this process may use\n")
+                   "the 69993 bytes of memory this process may use\n")
         # below 10^60 the figure is exact, however small the memory
         assert run(capsys, "classify", "--n", "20", "--bound", "20") == (
             2, "", f"error: n=20 needs {refine._head_table_bytes(20)} bytes for its head "
-                   f"table, more than the 68147 bytes of memory this process may use\n")
+                   f"table, more than the 69993 bytes of memory this process may use\n")
         # the heads, (400000)!/200000!, are multiplied out only until they
         # pass both the memory figure and 10^60, so a huge n ends at once
         start = time.perf_counter()
         assert run(capsys, "classify", "--n", "200000", "--bound", "200000") == (
             2, "", "error: n=200000 needs over 10^60 bytes for its head table, "
-                   "more than the 68147 bytes of memory this process may use\n")
+                   "more than the 69993 bytes of memory this process may use\n")
         assert time.perf_counter() - start < 0.5
-        monkeypatch.setattr(refine, "_physical_memory", lambda: 68148)
+        monkeypatch.setattr(refine, "_physical_memory", lambda: 69994)
         code, out, _ = run(capsys, "classify", "--n", "3", "--format", "json")
         assert code == 0 and json.loads(out)["total"] == 720
 

@@ -53,10 +53,9 @@ def own_split(n, head):
 
 
 def split_by_spin_set(n, groups):
-    """A split keyed by spin sets: index k is spin when the guard bit of
-    field k, the top one of its 2n + 2 bits, is clear in the spin key."""
-    width = 2 * n + 2
-    return {frozenset(k for k in range(1, n + 1) if not key >> (k * width - 1) & 1): group
+    """A split keyed by spin sets: index k is spin when bit k - 1 of the key
+    is set."""
+    return {frozenset(k for k in range(1, n + 1) if key >> (k - 1) & 1): group
             for key, group in groups.items()}
 
 
@@ -321,6 +320,21 @@ class TestStratify:
             assert words == [b"", *map(bytes, itertools.permutations(rest))]
             assert j == len(partner_ranks(n, values))
             assert split_by_spin_set(n, groups) == own_split(n, values), head
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_rank_split_matches_rank_sets(self, n):
+        # the slow independent check of every split a head can use (206 at
+        # n = 5): index k <= j is spin for an arrangement of the ranks when
+        # its last k ranks are the set of the tuple's first k
+        arrangements = list(itertools.permutations(range(n)))
+        for j in (*range(n - 1), n):
+            for ranks in itertools.permutations(range(n), j):
+                direct = {}
+                for position, arrangement in enumerate(arrangements, 1):
+                    spins = frozenset(k for k in range(1, j + 1)
+                                      if set(arrangement[n - k:]) == set(ranks[:k]))
+                    direct.setdefault(spins, [0]).append(position)
+                assert split_by_spin_set(n, refine._rank_split(n, ranks)) == direct, ranks
 
     @pytest.mark.parametrize("n, seed", [(5, 5), (6, 6)])
     def test_sampled_head_splits_match_their_own_arrangements(self, n, seed):

@@ -150,6 +150,20 @@ class TestCosets:
                 assert sum(1 for m in members if lengths[m] == lengths[rep]) == 1
                 assert coset_min_rep(rep, delta) == rep
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_coset_from_any_member_is_the_same_value(self, N):
+        # the constructor canonicalises: built from any member, a coset
+        # equals and hashes like LeviCoset.of of any other member
+        for bits in range(2 ** (N - 1)):
+            delta = frozenset(i for i in range(1, N) if bits >> (i - 1) & 1)
+            for images in itertools.permutations(range(1, N + 1)):
+                members = list(LeviCoset.of(Perm(images), delta).members())
+                for member in members:
+                    coset = LeviCoset(member, delta)
+                    for other in members:
+                        assert coset == LeviCoset.of(other, delta)
+                        assert hash(coset) == hash(LeviCoset.of(other, set(delta)))
+
     def test_position_blocks(self):
         assert [list(b) for b in position_blocks({2, 3, 4}, 6)] == \
             [[1], [2, 3, 4, 5], [6]]
