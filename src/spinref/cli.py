@@ -143,6 +143,10 @@ def _parse_slopes(text: str) -> dict[int, Fraction]:
             # Fraction would expand 1e100000000 digit by digit, for minutes
             raise CliError(f"bad slope entry {_cut(piece)!r}: exponent notation is not accepted",
                            EXIT_MISSING_DATA)
+        if "_" in value:
+            # Fraction reads 1_0 as 10 from Python 3.11 on and refuses it before
+            raise CliError(f"bad slope entry {_cut(piece)!r}: underscores are not accepted",
+                           EXIT_MISSING_DATA)
         try:
             index, slope = int(key), Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

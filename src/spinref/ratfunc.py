@@ -7,8 +7,10 @@ so integer order is the lexicographic order of the exponent tuples and the
 product of two monomials is the sum of their keys.  Before a product the
 keys of both factors are OR-ed together and the top bit of every field is
 tested: with every exponent below 2**(FIELD_BITS - 1) no sum can carry into
-the next field, and otherwise ExponentOverflowError is raised.  Keys are
-unpacked only for printing, evaluation and ``leading``.
+the next field, and otherwise ExponentOverflowError is raised.  Every
+product runs one loop, _times, and every sum or difference one signed
+merge, Poly._merge.  Keys are unpacked only for printing, evaluation and
+``leading``.
 
 A rational function is held in lowest terms as num / (scale * x^mono *
 product of factors): scale > 0, and the factors are primitive polynomials
@@ -119,33 +121,32 @@ class Poly:
         return isinstance(other, Poly) and self.nvars == other.nvars \
             and self.coeffs == other.coeffs
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _merge(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, in one pass over other's terms."""
         out = dict(self.coeffs)
         get = out.get
         for mono, c in other.coeffs.items():
-            c += get(mono, 0)
+            c = get(mono, 0) + sign * c
             if c:
                 out[mono] = c
             else:
                 del out[mono]
         return Poly._packed(self.nvars, out)
 
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._merge(other, 1)
+
     def __neg__(self) -> "Poly":
         return Poly._packed(self.nvars, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        _guard(reduce(or_, self.coeffs, 0) | reduce(or_, other.coeffs, 0), self.nvars)
-        out: dict[int, int] = {}
-        get = out.get
-        right = list(other.coeffs.items())
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in right:
-                mono = m1 + m2
-                out[mono] = get(mono, 0) + c1 * c2
-        return Poly._packed(self.nvars, {m: c for m, c in out.items() if c})
+        """The product by _times, with the operand of fewer terms as the factor."""
+        if len(self.coeffs) < len(other.coeffs):
+            self, other = other, self
+        return _times(self, [(tuple(other.coeffs.items()), 1)])
 
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Lexicographically largest monomial and its coefficient."""
@@ -237,7 +238,7 @@ def _exact_quotient(nvars: int, f: dict[int, int], g: dict[int, int]) -> dict[in
     Lexicographic division: when g divides f, the leading term of every
     remainder is a multiple of g's leading term, so the first one that is
     not proves that g does not divide f.  Divisibility of monomials uses the
-    guard bits of Poly.__mul__: with the top bit of every field set, a
+    guard bits that _guard tests: with the top bit of every field set, a
     subtraction leaves it set exactly in the fields that do not borrow.  That
     needs exponents below 2**(FIELD_BITS - 1), which every term of an exact
     quotient's remainders has, so a remainder term past it also gives None.
@@ -293,14 +294,17 @@ def _cancel(nvars: int, num: dict[int, int], factors: Counter[Factor],
 
 def _times(poly: Poly, factors: Iterable[tuple[Factor, int]]) -> Poly:
     """poly times each factor to its power, one pass over poly per term of a
-    factor, with the guard of Poly.__mul__."""
+    factor, its terms in any order; a factor of no terms is 0.  Each power is
+    guarded (_guard), the constant 1 too, which multiplies nothing."""
     nvars = poly.nvars
     coeffs = poly.coeffs
     for key, k in factors:
-        (first, c0), *rest = key
+        (first, c0), *rest = key or ((0, 0),)
         used = reduce(or_, [m for m, _ in rest], first)
         for _ in range(k):
             _guard(reduce(or_, coeffs, used), nvars)
+            if key == ((0, 1),):
+                continue
             out = {m + first: c * c0 for m, c in coeffs.items()}
             get = out.get
             for mk, ck in rest:
@@ -311,14 +315,6 @@ def _times(poly: Poly, factors: Iterable[tuple[Factor, int]]) -> Poly:
     if coeffs is poly.coeffs:
         return poly
     return Poly._packed(nvars, {m: c for m, c in coeffs.items() if c})
-
-
-def _scaled(poly: Poly, mono: int, c: int) -> Poly:
-    """poly times the term c * x^mono, with the guard of Poly.__mul__."""
-    if not mono and c == 1:
-        return poly
-    _guard(reduce(or_, poly.coeffs, mono), poly.nvars)
-    return Poly._packed(poly.nvars, {m + mono: v * c for m, v in poly.coeffs.items()})
 
 
 class RatFunc:
@@ -407,8 +403,8 @@ class RatFunc:
 
     def _lifted(self, scale: int, mono: int, factors: Counter[Factor]) -> Poly:
         """The numerator over the multiple scale * x^mono * prod factors of den."""
-        return _times(_scaled(self.num, mono - self.mono, scale // self.scale),
-                      (factors - self.factors).items())
+        term = ((mono - self.mono, scale // self.scale),)
+        return _times(self.num, [(term, 1), *(factors - self.factors).items()])
 
     def _add(self, other: "RatFunc", sign: int) -> "RatFunc":
         if other.is_zero:
@@ -420,15 +416,9 @@ class RatFunc:
         factors = mine | theirs
         scale = lcm(self.scale, other.scale)
         mono = self.mono + other.mono - _common_monomial(nvars, [self.mono, other.mono])
-        total = self._lifted(scale, mono, factors).coeffs.copy()
-        get = total.get
-        for m, c in other._lifted(scale, mono, factors).coeffs.items():
-            c = get(m, 0) + sign * c
-            if c:
-                total[m] = c
-            else:
-                del total[m]
-        num = _cancel(nvars, total, factors, (mine & theirs).items())
+        total = self._lifted(scale, mono, factors)._merge(
+            other._lifted(scale, mono, factors), sign)
+        num = _cancel(nvars, total.coeffs, factors, (mine & theirs).items())
         return RatFunc._make(nvars, num, scale, mono, factors, self.legacy + other.legacy)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
@@ -465,9 +455,8 @@ class RatFunc:
             factors[key] += 1
             legacy[key] += 1
             num = _cancel(nvars, num, factors, [(key, 1)])
-        num = _times(_scaled(Poly._packed(nvars, num), other.mono,
-                             other.scale if c > 0 else -other.scale),
-                     (other.factors - common).items())
+        term = ((other.mono, other.scale if c > 0 else -other.scale),)
+        num = _times(Poly._packed(nvars, num), [(term, 1), *(other.factors - common).items()])
         _guard(self.mono | m, nvars)
         return RatFunc._make(nvars, num.coeffs, self.scale * abs(c), self.mono + m,
                              factors, legacy)

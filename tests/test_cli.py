@@ -329,6 +329,7 @@ class TestSlopes:
          "bad slope entry '1=1e5000': exponent notation is not accepted"),
         ("1234", "3,1,-1,-3", "1=0,2=-2.5E-1,3=0", (), 4,
          "bad slope entry '2=-2.5E-1': exponent notation is not accepted"),
+        ("12", "0,0", "1=1_0", (), 4, "bad slope entry '1=1_0': underscores are not accepted"),
     ])
     def test_rejected_input(self, capsys, sigma, weight, slopes, extra, code, message):
         argv = ["slopes", "--sigma", sigma, *extra]

@@ -1,6 +1,7 @@
 """Packed-monomial polynomials against a plain tuple-keyed reference."""
 
 import random
+from collections import Counter
 from math import gcd
 from operator import add, mul, sub, truediv
 
@@ -70,6 +71,13 @@ def cases(seed, count):
         yield nvars, a, b
 
 
+def operand(rng, nvars):
+    """Zero, one term or several, now and then with an exponent past a field's guard bit."""
+    terms = rng.choice([0, 1, 1, 2, rng.randint(3, 12)])
+    a = random_poly(rng, nvars, terms, rng.choice([1, 5, 60, 255]))
+    return {m: c for m, c in a.items() if c}
+
+
 class TestPolyAgainstReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_arithmetic_str_and_leading(self, seed):
@@ -90,6 +98,29 @@ class TestPolyAgainstReference:
                     mono = max(ref)
                     assert got.leading() == (mono, ref[mono]), op
             assert str(pa) == ref_str({m: c for m, c in a.items() if c}, nvars)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_both_orders(self, seed):
+        """The product takes the operand of fewer terms as its factor, so every
+        pair runs both ways round, the guard included."""
+        rng = random.Random(500 + seed)
+        top = 1 << ratfunc.FIELD_BITS - 1
+        seen = Counter()
+        for _ in range(200):
+            nvars = rng.randint(1, 6)
+            a, b = operand(rng, nvars), operand(rng, nvars)
+            guarded = any(e >= top for mono in [*a, *b] for e in mono)
+            for x, y in ((a, b), (b, a)):
+                px, py = Poly(nvars, x), Poly(nvars, y)
+                assert px + py == Poly(nvars, ref_add(x, y))
+                assert px - py == Poly(nvars, ref_add(x, ref_neg(y)))
+                if guarded:
+                    with pytest.raises(ExponentOverflowError):
+                        px * py
+                else:
+                    assert px * py == Poly(nvars, ref_mul(x, y))
+            seen.update([min(len(a), 2), min(len(b), 2), "guarded" if guarded else "product"])
+        assert all(seen[k] for k in (0, 1, 2, "guarded", "product"))
 
     def test_canceling_products(self):
         nv = 4
