@@ -139,6 +139,14 @@ def _parse_slopes(text: str) -> dict[int, Fraction]:
             raise CliError(f"bad slope entry {_cut(piece)!r}: expected index=value",
                            EXIT_MISSING_DATA)
         key, _, value = piece.partition("=")
+        if not (key.isascii() and key.isdigit()):
+            # int() would also read " 1", "+1", "0_1" and non-ASCII digits such as "١"
+            raise CliError(f"bad slope entry {_cut(piece)!r}: an index is ASCII digits only",
+                           EXIT_MISSING_DATA)
+        if not value.isascii():
+            # Fraction would read non-ASCII digits such as "٣" as 3
+            raise CliError(f"bad slope entry {_cut(piece)!r}: a value is ASCII characters only",
+                           EXIT_MISSING_DATA)
         if _EXPONENT.search(value):
             # Fraction would expand 1e100000000 digit by digit, for minutes
             raise CliError(f"bad slope entry {_cut(piece)!r}: exponent notation is not accepted",

@@ -10,7 +10,10 @@ tested: with every exponent below 2**(FIELD_BITS - 1) no sum can carry into
 the next field, and otherwise ExponentOverflowError is raised.  Every
 product runs one loop, _times, and every sum or difference one signed
 merge, Poly._merge.  Keys are unpacked only for printing, evaluation and
-``leading``.
+``leading``.  A polynomial's text splits each key into its high fields
+and its low nvars // 2 fields and builds the text of each distinct half
+once, every variable led by "*", so a term's text is a coefficient and
+two table lookups; only a +-1 coefficient drops the leading "*".
 
 A rational function is held in lowest terms as num / (scale * x^mono *
 product of factors): scale > 0, and the factors are primitive polynomials
@@ -166,26 +169,41 @@ class Poly:
         return total
 
     def __str__(self) -> str:
-        if self.is_zero:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         nvars = self.nvars
-        largest = max(reduce(or_, self.coeffs).to_bytes(nvars, "big"))
-        # factors[v][e]: the text of variable v to the power e, then "*"
-        factors = [["", f"{name}*"] + [f"{name}^{e}*" for e in range(2, largest + 1)]
+        largest = max(reduce(or_, coeffs).to_bytes(nvars, "big"))
+        # factors[v][e]: "*" and then the text of variable v to the power e
+        factors = [["", f"*{name}"] + [f"*{name}^{e}" for e in range(2, largest + 1)]
                    for name in ["p"] + [f"θ_{i}" for i in range(1, nvars)]]
+        # A monomial's text is that of its high fields and then that of its
+        # low nvars // 2 fields, each built once per distinct half.
+        cut = nvars - nvars // 2
+        shift = FIELD_BITS * (nvars - cut)
+        mask = (1 << shift) - 1
+        high = _half_texts({mono >> shift for mono in coeffs}, factors[:cut])
+        low = _half_texts({mono & mask for mono in coeffs}, factors[cut:])
         parts = []
-        for mono in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[mono]
-            body = "".join(map(getitem, factors, mono.to_bytes(nvars, "big")))[:-1]
-            if not body:
-                term = str(abs(c))
-            elif abs(c) == 1:
-                term = body
+        for mono in sorted(coeffs, reverse=True):
+            c = coeffs[mono]
+            if c > 1:
+                parts.append(f"+ {c}{high[mono >> shift]}{low[mono & mask]}")
+            elif c < -1:
+                parts.append(f"- {-c}{high[mono >> shift]}{low[mono & mask]}")
             else:
-                term = f"{abs(c)}*{body}"
-            parts.append(("- " if c < 0 else "+ ") + term)
+                # +-1 drops the body's leading "*", or prints alone without a body
+                body = high[mono >> shift] + low[mono & mask]
+                parts.append(("+ " if c > 0 else "- ") + (body[1:] if body else "1"))
+        del high, low  # the tables need not outlive the terms while the text is joined
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def _half_texts(halves: set[int], factors: list[list[str]]) -> dict[int, str]:
+    """The text of each packed half-monomial, one factors[v] table per field."""
+    width = len(factors)
+    return {half: "".join(map(getitem, factors, half.to_bytes(width, "big"))) for half in halves}
 
 
 def _common_monomial(nvars: int, monos: list[int]) -> int:

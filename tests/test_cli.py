@@ -330,6 +330,16 @@ class TestSlopes:
         ("1234", "3,1,-1,-3", "1=0,2=-2.5E-1,3=0", (), 4,
          "bad slope entry '2=-2.5E-1': exponent notation is not accepted"),
         ("12", "0,0", "1=1_0", (), 4, "bad slope entry '1=1_0': underscores are not accepted"),
+        ("1234", "3,1,-1,-3", "0_1=1,2=0,3=0", (), 4,
+         "bad slope entry '0_1=1': an index is ASCII digits only"),
+        ("1234", "3,1,-1,-3", " 1=1,2=0,3=0", (), 4,
+         "bad slope entry ' 1=1': an index is ASCII digits only"),
+        ("1234", "3,1,-1,-3", "+1=1,2=0,3=0", (), 4,
+         "bad slope entry '+1=1': an index is ASCII digits only"),
+        ("1234", "3,1,-1,-3", "\u0661=1,2=0,3=0", (), 4,
+         "bad slope entry '\u0661=1': an index is ASCII digits only"),
+        ("1234", "3,1,-1,-3", "1=1,2=0,3=\u0663", (), 4,
+         "bad slope entry '3=\u0663': a value is ASCII characters only"),
     ])
     def test_rejected_input(self, capsys, sigma, weight, slopes, extra, code, message):
         argv = ["slopes", "--sigma", sigma, *extra]
@@ -338,6 +348,13 @@ class TestSlopes:
         if slopes is not None:
             argv += ["--slopes", slopes]
         assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+    def test_index_zero_and_negative(self, capsys):
+        # 0 is ASCII digits, so it keeps its out-of-range error; a sign is refused
+        assert run(capsys, *SLOPES, "0=1,2=0,3=0") == (
+            1, "", "error: slope index 0 outside 1..4\n")
+        assert run(capsys, *SLOPES[:-1], "--slopes=-1=1,2=0,3=0") == (
+            4, "", "error: bad slope entry '-1=1': an index is ASCII digits only\n")
 
     def test_value_grammar(self, capsys):
         code, out, _ = run(capsys, "slopes", "--sigma", "1234", "--lambda=3,1,-1,-3",

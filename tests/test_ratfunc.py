@@ -142,6 +142,49 @@ class TestPolyAgainstReference:
         assert poly.evaluate([2, 3, 1]) == 3 * 4 * 3 - 1 + 5
 
 
+class TestStrAgainstReference:
+    """The text is built from the first nvars - nvars // 2 exponents and the
+    last nvars // 2, each half's text once per distinct half; these cases
+    are chosen for that split."""
+
+    COEFFS = [1, -1, 2, -3, 7 * 10**30 + 1, -(10**35) - 9]
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_repeated_halves(self, nvars, seed):
+        rng = random.Random(900 + seed)
+        exps = [0, 0, 1, 2, 127, 128, 254, 255]
+        cut = nvars - nvars // 2
+        high = [tuple(rng.choice(exps) for _ in range(cut)) for _ in range(6)]
+        low = [tuple(rng.choice(exps) for _ in range(nvars - cut)) for _ in range(6)]
+        monos = {h + lo for h in high for lo in low}
+        monos.add((0,) * nvars)
+        while len(monos) < 250:
+            monos.add(tuple(rng.choice([*exps, rng.randint(0, 255)]) for _ in range(nvars)))
+        a = {m: rng.choice(self.COEFFS) for m in monos}
+        assert str(Poly(nvars, a)) == ref_str(a, nvars)
+        # a half that occurs in several terms is printed from one table entry
+        counts = Counter(half for m in a for half in (m[:cut], m[cut:]))
+        assert max(counts.values()) > 1
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_unit_coefficients_and_constants(self, nvars):
+        one, top = (0,) * nvars, (255,) + (0,) * (nvars - 1)
+        last = (0,) * (nvars - 1) + (1,)
+        for c in (1, -1):
+            for terms in ({one: c}, {top: c}, {last: c}, {top: c, one: c},
+                          {top: -c, last: c, one: -c}, {last: 2 * c, one: c},
+                          {top: 10**40 * c, last: -c, one: 10**30 * c}):
+                assert str(Poly(nvars, terms)) == ref_str(terms, nvars), terms
+        assert str(Poly(nvars, {})) == ref_str({}, nvars) == "0"
+        assert str(Poly.const(-1, nvars)) == "-1" and str(Poly.const(1, nvars)) == "1"
+
+    def test_known_text(self):
+        poly = Poly(2, {(255, 0): -1, (1, 255): 10**30, (0, 1): 1, (0, 0): -1})
+        assert str(poly) == f"-p^255 + {10**30}*p*θ_1^255 + θ_1 - 1"
+        assert str(Poly(1, {(3,): -1, (1,): 1, (0,): 1})) == "-p^3 + p + 1"
+
+
 class TestOverflowGuard:
     def test_error_is_arithmetic(self):
         assert issubclass(ExponentOverflowError, ArithmeticError)
