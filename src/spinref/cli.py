@@ -14,14 +14,15 @@ Subcommands:
   coefficients.
 
 Output is deterministic (members sorted by one-line notation) so tables
-diff cleanly.  Exit codes: 1 other usage errors (bad arguments included,
-and a --n or --bound below 1), 2 rank bound exceeded (classify, mtau),
-classify's head table larger than the memory this process may use (the
-smaller of physical memory and the cgroup limit), a composition whose
-Levi cannot fit in that memory (zeta, slopes, mtau), a zeta
-verdict that cannot (zeta), or an mtau text that does not fit in memory,
-3 malformed permutation, 4 missing, malformed or duplicate slope data,
-5 non-spin composition, 6 failed internal self-check.
+diff cleanly.  An integer input (a permutation entry, a weight, a
+composition part, --n, --bound, --beta) is an optional "-" followed by
+ASCII digits (weyl.is_integer).  Exit codes: 1 other usage errors (bad
+arguments included, and a --n or --bound below 1), 2 a rank above its
+--bound (classify, mtau) or any MemoryError: a request refused by
+parabolic.require_memory (classify's head table, a composition's Levi, a
+zeta verdict), or memory run out while it runs (the mtau text among
+others), 3 malformed permutation, 4 missing, malformed or duplicate slope
+data, 5 non-spin composition, 6 failed internal self-check.
 An error message quotes at most QUOTE_CAP (60) characters of an input value,
 followed by "…", and names a number too long for int() by its digit limit.
 """
@@ -39,12 +40,12 @@ from fractions import Fraction
 
 from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profile)
 from .intertwine import m_tau_expansion, zeta_support_verdict
-from .parabolic import (NotSpinError, RankMemoryError, SelfCheckError, SpinParabolic, format_xp,
-                        parse_composition, pure_parabolic_dim)
+from .parabolic import (NotSpinError, SelfCheckError, SpinParabolic, format_xp, parse_composition,
+                        pure_parabolic_dim)
 from .refine import (DEFAULT_ENUMERATION_BOUND, EnumerationBoundError, Refinement,
                      gamma, optimal_parabolic, stratum_words, to_B_spin)
 from .rootdata import PureWeight
-from .weyl import format_one_line
+from .weyl import format_one_line, is_integer, parse_integers
 
 EXIT_BOUND = 2
 EXIT_BAD_PERM = 3
@@ -92,13 +93,16 @@ def _why(exc: Exception, text: str) -> str:
 
 
 def _int(text: str) -> int:
-    """type= of the int options: argparse's refusal text, with the value cut."""
-    try:
-        return int(text)
-    except ValueError:
-        reason = _too_long(text)
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {_cut(text)!r}" + (f" ({reason})" if reason else "")) from None
+    """type= of the int options: an integer (is_integer), or argparse's
+    refusal text with the value cut."""
+    if is_integer(text):
+        try:
+            return int(text)
+        except ValueError:  # past Python's int-string limit
+            pass
+    reason = _too_long(text)
+    raise argparse.ArgumentTypeError(
+        f"invalid int value: {_cut(text)!r}" + (f" ({reason})" if reason else ""))
 
 
 def _check_bound(bound: int) -> None:
@@ -116,7 +120,7 @@ def _parse_sigma(text: str) -> Refinement:
 
 def _parse_weight(text: str) -> PureWeight:
     try:
-        coeffs = tuple(int(piece) for piece in text.split(","))
+        coeffs = parse_integers(text)
     except ValueError as exc:
         raise CliError(f"bad weight {_cut(text)!r}: "
                        f"{_too_long(text) or 'integers expected'}") from exc
@@ -168,10 +172,7 @@ def _parse_slopes(text: str) -> dict[int, Fraction]:
 
 def _parse_parabolic(text: str, n: int | None = None) -> SpinParabolic:
     try:
-        parts = parse_composition(text)
-        p = SpinParabolic.from_composition(parts)
-    except RankMemoryError as exc:
-        raise CliError(str(exc), EXIT_BOUND) from exc
+        p = SpinParabolic.from_composition(parse_composition(text))
     except NotSpinError as exc:
         raise CliError(_why(exc, text), EXIT_NOT_SPIN) from exc
     except ValueError as exc:
@@ -420,10 +421,7 @@ def cmd_zeta(args) -> int:
     p = _parse_parabolic(args.parabolic)
     if args.beta < 1:
         raise CliError(f"--beta must be a positive integer, got {_cut(str(args.beta))}")
-    try:
-        verdict = zeta_support_verdict(p, args.beta)
-    except RankMemoryError as exc:
-        raise CliError(str(exc), EXIT_BOUND) from exc
+    verdict = zeta_support_verdict(p, args.beta)
     payload = {
         "parabolic": p.label(),
         "beta": args.beta,
@@ -585,6 +583,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a refusal (RankMemoryError) or memory run out
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_BOUND
 
 
 if __name__ == "__main__":

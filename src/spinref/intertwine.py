@@ -30,8 +30,7 @@ from __future__ import annotations
 from collections.abc import Hashable
 
 from ._value import Value, set_field
-from .parabolic import NotSpinError, RankMemoryError, SelfCheckError, SpinParabolic
-from .parabolic import physical_memory as _physical_memory
+from .parabolic import NotSpinError, SelfCheckError, SpinParabolic, require_memory
 from .ratfunc import Poly, RatFunc
 from .weyl import (LeviCoset, Perm, Trichotomy, composition_delta, coset_min_rep,
                    simple_trichotomy)
@@ -147,7 +146,7 @@ class ParahoricVector(Value):
         """Regroup an Iwahori expansion by cosets, requiring constant coefficients."""
         buckets: dict[LeviCoset, dict[Perm, RatFunc]] = {}
         for w, coeff in v.terms.items():
-            buckets.setdefault(LeviCoset.of(w, delta), {})[w] = coeff
+            buckets.setdefault(LeviCoset(w, delta), {})[w] = coeff
         cosets: dict[LeviCoset, RatFunc] = {}
         for coset, seen in buckets.items():
             values = list(seen.values())
@@ -218,7 +217,7 @@ def m_tau_expansion(n: int, p: SpinParabolic
     word = _long_word_factorisation(n, delta_k)
 
     state: dict[LeviCoset, RatFunc] = {
-        LeviCoset.of(Perm.longest(n), delta_k): RatFunc.const(1, nvars)}
+        LeviCoset(Perm.longest(n), delta_k): RatFunc.const(1, nvars)}
     twist = Perm.identity(N)
     one = RatFunc.const(1, nvars)
     p_inv = RatFunc.p_inverse(nvars)
@@ -232,7 +231,7 @@ def m_tau_expansion(n: int, p: SpinParabolic
             if verdict is Trichotomy.PERMUTES:
                 _accumulate(next_state, coset, coeff * cs)
                 continue
-            moved = LeviCoset.of(s_lower * coset.rep, delta_k)
+            moved = LeviCoset(s_lower * coset.rep, delta_k)
             if verdict is Trichotomy.ALL_LONGER:
                 _accumulate(next_state, moved, coeff * p_inv)
                 _accumulate(next_state, coset, coeff * (cs - one))
@@ -242,7 +241,7 @@ def m_tau_expansion(n: int, p: SpinParabolic
         state = next_state
         twist = twist * Perm.simple(a, N)
 
-    identity_coset = LeviCoset.of(Perm.identity(n), delta_k)
+    identity_coset = LeviCoset(Perm.identity(n), delta_k)
     prenorm = state.get(identity_coset, RatFunc.zero(nvars))
     if prenorm.is_zero:
         raise SelfCheckError("identity-coset coefficient vanished")
@@ -266,7 +265,7 @@ def m_tau_expansion_oracle(n: int, p: SpinParabolic) -> dict[LeviCoset, RatFunc]
 
     start = ParahoricVector(
         Perm.identity(N),
-        {LeviCoset.of(w_of_rho(Perm.longest(n)), p.delta): RatFunc.const(1, N + 1)})
+        {LeviCoset(w_of_rho(Perm.longest(n)), p.delta): RatFunc.const(1, N + 1)})
     v = start.expand()
     for letter in word:
         v = T_s(v, n + letter)
@@ -274,8 +273,8 @@ def m_tau_expansion_oracle(n: int, p: SpinParabolic) -> dict[LeviCoset, RatFunc]
     out: dict[LeviCoset, RatFunc] = {}
     for gl_coset, coeff in regrouped.cosets.items():
         rho = _rho_of_gl_coset(gl_coset, n)
-        out[LeviCoset.of(rho, delta_k)] = coeff
-    identity_coeff = out[LeviCoset.of(Perm.identity(n), delta_k)]
+        out[LeviCoset(rho, delta_k)] = coeff
+    identity_coeff = out[LeviCoset(Perm.identity(n), delta_k)]
     return {key: coeff / identity_coeff for key, coeff in out.items()}
 
 
@@ -288,7 +287,7 @@ def _rho_of_gl_coset(gl_coset: LeviCoset, n: int) -> Perm:
     """
     head = tuple(v - n for v in gl_coset.rep.images[:n])
     if sorted(head) != list(range(1, n + 1)) or \
-            LeviCoset.of(w_of_rho(Perm(head)), gl_coset.delta) != gl_coset:
+            LeviCoset(w_of_rho(Perm(head)), gl_coset.delta) != gl_coset:
         raise ValueError("coset does not come from the lower block")
     return Perm(head)
 
@@ -377,13 +376,7 @@ def _zeta_verdict_bytes(p: SpinParabolic, beta: int) -> int:
 
 def zeta_support_verdict(p: SpinParabolic, beta: int) -> SupportVerdict:
     """The support verdict of p at beta; RankMemoryError when it cannot fit in memory."""
-    have = _physical_memory()
-    if have is not None:
-        need = _zeta_verdict_bytes(p, beta)
-        if need > have:
-            raise RankMemoryError(
-                f"zeta at n={p.n} needs about {need} bytes, more than the {have} bytes "
-                f"of memory this process may use")
+    require_memory(p.n, _zeta_verdict_bytes(p, beta), "for its zeta verdict")
     exps = p.staircase_cochar().coeffs
     n = p.n
     z1 = tuple(beta * e for e in exps[:n])

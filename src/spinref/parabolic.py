@@ -19,7 +19,7 @@ from functools import cache
 
 from ._value import Value, set_field
 from .rootdata import GLCocharacter, PureWeight
-from .weyl import composition_delta, position_blocks
+from .weyl import composition_delta, parse_integers, position_blocks
 
 
 class NotSpinError(ValueError):
@@ -30,9 +30,12 @@ class SelfCheckError(RuntimeError):
     """An internal self-check failed: the computation, not the input, is at fault."""
 
 
-class RankMemoryError(ValueError):
-    """A rank whose Levi's simple roots, or zeta verdict, cannot fit in the
-    memory this process may use (physical_memory)."""
+class RankMemoryError(MemoryError):
+    """A request whose memory need exceeds the memory this process may use.
+
+    Raised only by require_memory, before the work is begun: for
+    classify's head table, a composition's Levi, or a zeta verdict.
+    """
 
 
 def _read_text(path: str) -> str | None:
@@ -77,15 +80,47 @@ def _cgroup_limits() -> list[int]:
 def physical_memory() -> int | None:
     """Bytes of memory this process may use, or None where nothing says.
 
-    The smaller of physical memory and the process's cgroup limits
-    (_cgroup_limits), read once per process.
+    The smallest of physical memory, the process's cgroup limits
+    (_cgroup_limits) and its soft RLIMIT_AS and RLIMIT_DATA (where the
+    resource module exists), read once per process.
     """
     limits = _cgroup_limits()
     try:
         limits.append(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
     except (AttributeError, ValueError, OSError):
         pass
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        pass
+    else:
+        for limit in (resource.RLIMIT_AS, resource.RLIMIT_DATA):
+            soft, _ = resource.getrlimit(limit)
+            if soft != resource.RLIM_INFINITY:
+                limits.append(soft)
     return min(limits, default=None)
+
+
+# A figure in a refusal is written out below this, and as "over 10^60" from it.
+_QUOTED_BELOW = 10 ** 60
+
+
+def require_memory(n: int, need: int, purpose: str) -> None:
+    """Raise RankMemoryError when need bytes exceed the memory this process may use.
+
+    need is what the request at rank n holds, and purpose names it after
+    "bytes", as "for its head table".  Every memory refusal is raised
+    here, with one sentence: "n=3 needs 69994 bytes for its head table,
+    more than the 69993 bytes of memory this process may use".  From
+    10^60 on, n and need are written "n above 10^60" and "over 10^60".
+    Where physical_memory says nothing, nothing is refused.
+    """
+    have = physical_memory()
+    if have is not None and need > have:
+        rank = f"n={n}" if n < _QUOTED_BELOW else "n above 10^60"
+        shown = need if need < _QUOTED_BELOW else "over 10^60"
+        raise RankMemoryError(f"{rank} needs {shown} bytes {purpose}, more than the {have} "
+                              f"bytes of memory this process may use")
 
 
 class SpinParabolic(Value):
@@ -128,7 +163,8 @@ class SpinParabolic(Value):
         memory.  Building delta peaks at about 100 bytes per index (an int
         object, the set's table as it grows, the frozenset's copy; 99 to 116
         measured on 64-bit CPython 3.11), so a rank for which 100 bytes per
-        index exceed the memory this process may use raises RankMemoryError.
+        index exceed the memory this process may use raises RankMemoryError
+        (require_memory).
         """
         parts = tuple(parts)
         if not parts or any(m <= 0 for m in parts):
@@ -138,12 +174,8 @@ class SpinParabolic(Value):
             raise ValueError(f"composition must sum to an even number, got {total}")
         if parts != parts[::-1]:
             raise NotSpinError(f"composition {parts} is not symmetric around the middle")
-        n, have = total // 2, physical_memory()
-        if have is not None and 100 * (total - len(parts)) > have:
-            shown = f"n={n}" if n < 10 ** 60 else "n above 10^60"
-            raise RankMemoryError(
-                f"rank {shown} needs more than the {have} bytes of memory this process "
-                f"may use for the Levi of its composition")
+        n = total // 2
+        require_memory(n, 100 * (total - len(parts)), "for the Levi of its composition")
         return cls(n, composition_delta(parts))
 
     @classmethod
@@ -218,9 +250,9 @@ def all_spin_parabolics(n: int) -> Iterator[SpinParabolic]:
 
 
 def parse_composition(text: str) -> tuple[int, ...]:
-    """Parse "m1,m2,...,mr" into a composition tuple."""
+    """Parse "m1,m2,...,mr" into a composition tuple (weyl.parse_integers)."""
     try:
-        return tuple(int(piece) for piece in text.split(","))
+        return parse_integers(text)
     except ValueError as exc:
         raise ValueError("parts must be integers") from exc
 

@@ -29,8 +29,7 @@ from math import comb, factorial
 from operator import itemgetter
 
 from ._value import Value, set_field
-from .parabolic import SelfCheckError, SpinParabolic, all_spin_parabolics
-from .parabolic import physical_memory as _physical_memory
+from .parabolic import SelfCheckError, SpinParabolic, all_spin_parabolics, require_memory
 from .weyl import (LeviCoset, Perm, coset_min_rep, enumerate_wg0, format_one_line,
                    parse_one_line)
 
@@ -38,7 +37,7 @@ DEFAULT_ENUMERATION_BOUND = 5
 
 
 class EnumerationBoundError(ValueError):
-    """Rank exceeds the configured full-enumeration bound, or memory."""
+    """Rank exceeds the configured full-enumeration bound (--bound)."""
 
 
 class Refinement(Value):
@@ -388,28 +387,21 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
     arrangements at its group's positions in each such record, in head
     order.  Every size is counted in the pass and checked against the
     closed form before any chunk is made.  A rank whose head table
-    (_head_table_bytes) exceeds the memory this process may use
-    (parabolic.physical_memory) is refused before the pass.
+    (_head_table_bytes) exceeds the memory this process may use is
+    refused before the pass (parabolic.require_memory).
     """
     if n > bound:
         raise EnumerationBoundError(
             f"n={n} exceeds the enumeration bound {bound}; raise the bound explicitly")
-    have = _physical_memory()
-    if have is not None:
-        # The (2n)!/n! heads are multiplied out only until they pass both
-        # the memory figure and the 10^60 below which the message shows
-        # the figure; a rank with more heads is refused without the sum.
-        heads, cap = 1, max(have, 10 ** 60)
-        for k in range(n + 1, 2 * n + 1):
-            heads *= k
-            if heads > cap:
-                break
-        need = _head_table_bytes(n) if heads <= cap else cap + 1
-        if need > have:
-            shown = need if need < 10 ** 60 else "over 10^60"
-            raise EnumerationBoundError(
-                f"n={n} needs {shown} bytes for its head table, more than the {have} "
-                f"bytes of memory this process may use")
+    # The (2n)!/n! heads are multiplied out only until they pass 10^60,
+    # which no memory reaches; a rank with more heads needs more bytes than
+    # that, and is refused without the sum.
+    heads, cap = 1, 10 ** 60
+    for k in range(n + 1, 2 * n + 1):
+        heads *= k
+        if heads > cap:
+            break
+    require_memory(n, _head_table_bytes(n) if heads <= cap else heads, "for its head table")
     records, sizes = _head_table(n)
     counts = stratum_counts(n)
     keys = {p: sum(1 << (k - 1) for k in p.xp) for p in all_spin_parabolics(n)}
@@ -445,7 +437,7 @@ def parahoric_restrict(r: Refinement, p: SpinParabolic) -> ParahoricRefinement:
     """The unique P-parahoric refinement under an Iwahori refinement."""
     if r.n != p.n:
         raise ValueError("rank mismatch")
-    return ParahoricRefinement(p, LeviCoset.of(r.sigma, p.delta))
+    return ParahoricRefinement(p, LeviCoset(r.sigma, p.delta))
 
 
 def parahoric_is_spin(pr: ParahoricRefinement) -> bool:

@@ -122,6 +122,28 @@ def format_one_line(p: Perm) -> str:
     return ",".join(str(v) for v in p.images)
 
 
+def is_integer(text: str) -> bool:
+    """Whether text is an integer: an optional "-" followed by ASCII digits.
+
+    Every integer input is read by this rule.  int() alone would also read
+    spaces, "+", underscores (1_0 as 10) and non-ASCII digits (١ as 1).
+    """
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
+def parse_integers(text: str) -> tuple[int, ...]:
+    """The comma-separated integers of text (is_integer), spaces around each allowed.
+
+    Raises ValueError for a part that is not an integer, or that is past
+    Python's int-string limit.
+    """
+    parts = [piece.strip() for piece in text.split(",")]
+    for part in parts:
+        if not is_integer(part):
+            raise ValueError(f"{part!r} is not an integer")
+    return tuple(map(int, parts))
+
+
 def parse_one_line(text: str) -> Perm:
     """Parse one-line notation, raising ValueError that names the bad position."""
     text = text.strip()
@@ -134,7 +156,7 @@ def parse_one_line(text: str) -> Perm:
     images = []
     for pos, part in enumerate(parts, start=1):
         part = part.strip()
-        if not part.isdecimal():
+        if not is_integer(part):
             raise ValueError(f"position {pos}: {part!r} is not a digit")
         images.append(int(part))
     N = len(images)
@@ -287,10 +309,6 @@ class LeviCoset(Value):
         delta = frozenset(delta)
         set_field(self, "rep", coset_min_rep(rep, delta))
         set_field(self, "delta", delta)
-
-    @classmethod
-    def of(cls, sigma: Perm, delta: Iterable[int]) -> "LeviCoset":
-        return cls(sigma, delta)
 
     @property
     def degree(self) -> int:

@@ -250,7 +250,7 @@ def test_criterion_11_m_tau_oracle_agreement():
         assert set(expansion) == set(oracle)
         for key in expansion:
             assert expansion[key] == oracle[key]
-        identity_key = LeviCoset.of(
+        identity_key = LeviCoset(
             Perm.identity(2),
             frozenset() if p.is_borel else frozenset({1}))
         assert expansion[identity_key] == one

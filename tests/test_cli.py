@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from spinref import cli, intertwine, refine
+from spinref import cli, intertwine, parabolic, refine
 from spinref.cli import main, refinement_report
 from spinref.parabolic import all_spin_parabolics
 from spinref.ratfunc import RatFunc
@@ -71,32 +72,6 @@ class TestClassify:
     def test_bound_below_one_refused(self, capsys, bound):
         assert run(capsys, "classify", "--n", "2", "--bound", bound) == (
             1, "", f"error: --bound must be >= 1, got {bound}\n")
-
-    def test_memory_refusal(self, capsys, monkeypatch):
-        # n = 3 holds at most 69994 bytes of head table (refine._head_table_bytes)
-        monkeypatch.setattr(refine, "_physical_memory", lambda: 69993)
-        code, out, err = run(capsys, "classify", "--n", "3")
-        assert code == 2 and out == ""
-        assert err == ("error: n=3 needs 69994 bytes for its head table, more than the "
-                       "69993 bytes of memory this process may use\n")
-        # (2000)!/1000! heads: the figure passes 10^60 and is not multiplied out
-        assert run(capsys, "classify", "--n", "1000", "--bound", "1000") == (
-            2, "", "error: n=1000 needs over 10^60 bytes for its head table, more than "
-                   "the 69993 bytes of memory this process may use\n")
-        # below 10^60 the figure is exact, however small the memory
-        assert run(capsys, "classify", "--n", "20", "--bound", "20") == (
-            2, "", f"error: n=20 needs {refine._head_table_bytes(20)} bytes for its head "
-                   f"table, more than the 69993 bytes of memory this process may use\n")
-        # the heads, (400000)!/200000!, are multiplied out only until they
-        # pass both the memory figure and 10^60, so a huge n ends at once
-        start = time.perf_counter()
-        assert run(capsys, "classify", "--n", "200000", "--bound", "200000") == (
-            2, "", "error: n=200000 needs over 10^60 bytes for its head table, "
-                   "more than the 69993 bytes of memory this process may use\n")
-        assert time.perf_counter() - start < 0.5
-        monkeypatch.setattr(refine, "_physical_memory", lambda: 69994)
-        code, out, _ = run(capsys, "classify", "--n", "3", "--format", "json")
-        assert code == 0 and json.loads(out)["total"] == 720
 
     def test_g_count_mismatch_exits_6_before_output(self, capsys, monkeypatch):
         wrong = refine.stratum_counts(3)
@@ -340,6 +315,16 @@ class TestSlopes:
          "bad slope entry '\u0661=1': an index is ASCII digits only"),
         ("1234", "3,1,-1,-3", "1=1,2=0,3=\u0663", (), 4,
          "bad slope entry '3=\u0663': a value is ASCII characters only"),
+        # an integer is an optional "-" followed by ASCII digits (weyl.is_integer)
+        ("\u0661\u0662", "0,0", "1=0", (), 3,
+         "malformed permutation: position 1: '\u0661' is not a digit"),
+        ("12", "1_0,-1_0", "1=0", (), 1, "bad weight '1_0,-1_0': integers expected"),
+        ("12", "\u0661,-\u0661", "1=0", (), 1, "bad weight '\u0661,-\u0661': integers expected"),
+        ("12", "+1,-1", "1=0", (), 1, "bad weight '+1,-1': integers expected"),
+        ("12", "0,0", "1=0", ("--parabolic", "1_0,1_0"), 1,
+         "bad composition '1_0,1_0': parts must be integers"),
+        ("12", "0,0", "1=0", ("--parabolic", "\u0661,\u0661"), 1,
+         "bad composition '\u0661,\u0661': parts must be integers"),
     ])
     def test_rejected_input(self, capsys, sigma, weight, slopes, extra, code, message):
         argv = ["slopes", "--sigma", sigma, *extra]
@@ -348,6 +333,11 @@ class TestSlopes:
         if slopes is not None:
             argv += ["--slopes", slopes]
         assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+    def test_spaces_around_integer_parts(self, capsys):
+        code, out, _ = run(capsys, "slopes", "--sigma", " 1, 2 ", "--lambda= 0 , 0",
+                           "--slopes", "1=0", "--parabolic", " 1 ,1", "--format", "json")
+        assert code == 0 and json.loads(out)["lambda"] == [0, 0]
 
     def test_index_zero_and_negative(self, capsys):
         # 0 is ASCII digits, so it keeps its out-of-range error; a sign is refused
@@ -499,23 +489,72 @@ class TestZeta:
         code, _, err = run(capsys, "zeta", "--parabolic", "2,2", "--beta", "0")
         assert code == 1 and "positive" in err
 
-    def test_memory_refusal(self, capsys, monkeypatch):
-        # (3,3) at beta 1: delta's 4 indices and the 2 blocks at 100 bytes,
-        # and per unit of n 32 + 4 * (8 + 32) + 2 * (64 + 1 + 1) = 324 for
-        # exponents of 3 bits (2 * beta * blocks = 4): 600 + 3 * 324 = 1572
-        monkeypatch.setattr(intertwine, "_physical_memory", lambda: 1571)
-        assert run(capsys, "zeta", "--parabolic", "3,3") == (
-            2, "", "error: zeta at n=3 needs about 1572 bytes, more than the 1571 bytes "
-                   "of memory this process may use\n")
-        monkeypatch.setattr(intertwine, "_physical_memory", lambda: 1572)
-        code, out, _ = run(capsys, "zeta", "--parabolic", "3,3")
-        assert code == 0 and "no forced vanishing" in out
-        # a beta of 300 digits makes the exponents ints of 999 bits: per unit
-        # of n, 32 + 4 * (8 + 32 + 4 * 33) + 2 * (64 + 333 + 1) = 1516
-        monkeypatch.setattr(intertwine, "_physical_memory", lambda: 5000)
-        assert run(capsys, "zeta", "--parabolic", "3,3", "--beta", "9" * 300) == (
-            2, "", "error: zeta at n=3 needs about 5148 bytes, more than the 5000 bytes "
-                   "of memory this process may use\n")
+
+# Every memory refusal: the request, the bytes this process may use, and the
+# bytes the request needs, as the shared sentence writes them.
+MEMORY_REFUSALS = [
+    # n = 3 holds at most 69994 bytes of head table (refine._head_table_bytes)
+    pytest.param(["classify", "--n", "3"], 69993, "n=3", "69994 bytes for its head table",
+                 id="classify-n3"),
+    # below 10^60 the figure is exact, however small the memory
+    pytest.param(["classify", "--n", "20", "--bound", "20"], 69993, "n=20",
+                 f"{refine._head_table_bytes(20)} bytes for its head table", id="classify-n20"),
+    # (2000)!/1000! heads: the figure passes 10^60 and is not multiplied out
+    pytest.param(["classify", "--n", "1000", "--bound", "1000"], 69993, "n=1000",
+                 "over 10^60 bytes for its head table", id="classify-n1000"),
+    # the heads, (400000)!/200000!, are multiplied out only until they pass
+    # 10^60, so a huge n ends at once
+    pytest.param(["classify", "--n", "200000", "--bound", "200000"], 69993, "n=200000",
+                 "over 10^60 bytes for its head table", id="classify-n200000"),
+    # (3,3) at beta 1: delta's 4 indices and the 2 blocks at 100 bytes, and
+    # per unit of n 32 + 4 * (8 + 32) + 2 * (64 + 1 + 1) = 324 for exponents
+    # of 3 bits (2 * beta * blocks = 4): 600 + 3 * 324 = 1572
+    pytest.param(["zeta", "--parabolic", "3,3"], 1571, "n=3",
+                 "1572 bytes for its zeta verdict", id="zeta"),
+    # a beta of 300 digits makes the exponents ints of 999 bits: per unit of
+    # n, 32 + 4 * (8 + 32 + 4 * 33) + 2 * (64 + 333 + 1) = 1516
+    pytest.param(["zeta", "--parabolic", "3,3", "--beta", "9" * 300], 5000, "n=3",
+                 "5148 bytes for its zeta verdict", id="zeta-beta300"),
+    # building delta takes about 100 bytes for each of its 2n - r indices
+    pytest.param(["zeta", "--parabolic", "1,4,4,1"], 400, "n=5",
+                 "600 bytes for the Levi of its composition", id="levi-zeta"),
+    pytest.param(["slopes", "--sigma", "12", "--lambda", "0,0", "--slopes", "1=0",
+                  "--parabolic", "1,4,4,1"], 400, "n=5",
+                 "600 bytes for the Levi of its composition", id="levi-slopes"),
+    pytest.param(["mtau", "--parabolic", "1,4,4,1"], 400, "n=5",
+                 "600 bytes for the Levi of its composition", id="levi-mtau"),
+]
+
+
+@pytest.mark.parametrize("argv, have, rank, need", MEMORY_REFUSALS)
+def test_memory_refusal(capsys, monkeypatch, argv, have, rank, need):
+    monkeypatch.setattr(parabolic, "physical_memory", lambda: have)
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (
+        2, "", f"error: {rank} needs {need}, more than the {have} bytes of memory this "
+               f"process may use\n")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_memory_run_out_exits_2(capsys, monkeypatch):
+    # a MemoryError that no bound foresaw ends in main, not in a traceback
+    def exhausted(n, bound):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "stratum_words", exhausted)
+    assert run(capsys, "classify", "--n", "3") == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("argv, have", [
+    pytest.param(["classify", "--n", "3", "--format", "json"], 69994, id="classify-n3"),
+    pytest.param(["zeta", "--parabolic", "3,3"], 1572, id="zeta"),
+    pytest.param(["mtau", "--parabolic", "3,3"], 400, id="levi-mtau"),
+])
+def test_memory_at_the_figure_suffices(capsys, monkeypatch, argv, have):
+    # the same requests as above, with exactly the bytes they need
+    monkeypatch.setattr(parabolic, "physical_memory", lambda: have)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
 
 
 def query_requests(kind, n, fmt):
@@ -629,6 +668,17 @@ def assert_one_error_line(err):
 
 class TestUsageErrors:
     """argparse's usage errors exit 1; exit 2 is left to exceeded rank bounds."""
+
+    @pytest.mark.parametrize("argv, value", [
+        pytest.param(["classify", "--n"], "\u0661", id="n-arabic-indic"),
+        pytest.param(["classify", "--n", "2", "--bound"], "1_0", id="bound-underscore"),
+        pytest.param(["zeta", "--parabolic", "2,2", "--beta"], "+1", id="beta-plus"),
+        pytest.param(["mtau", "--parabolic", "2,2", "--n"], " 2", id="n-space"),
+    ])
+    def test_int_option_is_ascii_digits(self, capsys, argv, value):
+        # int() would read each of these values
+        assert run(capsys, *argv, value) == (
+            1, "", f"error: argument {argv[-1]}: invalid int value: {value!r}\n")
 
     def test_missing_required_argument(self, capsys):
         code, out, err = run(capsys, "classify")
@@ -773,17 +823,32 @@ class TestSelfCheckFailure:
         assert "identity-coset coefficient vanished" in err
 
 
-def _cap_address_space():
+def _cap_address_space(limit=1 << 30):
     # 1 GB: a regression that fills memory fails fast in the child alone
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 class TestEntryPoint:
-    def spinref(self, *argv):
+    def spinref(self, *argv, address_space=1 << 30):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         return subprocess.run([sys.executable, "-m", "spinref", *argv], env=env,
                               capture_output=True, text=True, timeout=60,
-                              preexec_fn=_cap_address_space)
+                              preexec_fn=functools.partial(_cap_address_space, address_space))
+
+    @pytest.mark.parametrize("kbytes, argv", [
+        pytest.param(200000, ["zeta", "--parabolic", "2000000,2000000"], id="zeta"),
+        pytest.param(200000, ["slopes", "--sigma", "12", "--lambda", "0,0", "--slopes", "1=0",
+                              "--parabolic", "2000000,2000000"], id="slopes"),
+        pytest.param(120000, ["classify", "--n", "6", "--bound", "6", "--format", "csv"],
+                     id="classify"),
+    ])
+    def test_refused_under_an_address_space_limit(self, kbytes, argv):
+        # as under `ulimit -v kbytes`: the Levi (400 MB) or the head table
+        # (161 MB) is refused against the soft limit before it is built
+        proc = self.spinref(*argv, address_space=kbytes * 1024)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert_one_error_line(proc.stderr)
+        assert proc.stderr.endswith(" bytes of memory this process may use\n")
 
     def test_zeta(self):
         proc = self.spinref("zeta", "--parabolic", "1,2,1")
@@ -813,9 +878,9 @@ class TestEntryPoint:
     def test_huge_palindromic_composition_refused_at_once(self, command):
         proc = self.spinref(command, "--parabolic", f"{self.HUGE},{self.HUGE}")
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: rank n above 10^60 needs more than the ")
-        assert proc.stderr.endswith(" bytes of memory this process may use for the Levi of "
-                                    "its composition\n")
+        assert proc.stderr.startswith("error: n above 10^60 needs over 10^60 bytes for the "
+                                      "Levi of its composition, more than the ")
+        assert proc.stderr.endswith(" bytes of memory this process may use\n")
 
     def test_malformed_permutation(self):
         proc = self.spinref("info", "--sigma", "1135")

@@ -123,7 +123,7 @@ class TestTs:
         one = RatFunc.const(1, nv)
         p_inv = RatFunc.p_inverse(nv)
         for delta in deltas:
-            cosets = {LeviCoset.of(Perm(im), delta)
+            cosets = {LeviCoset(Perm(im), delta)
                       for im in itertools.permutations(range(1, N + 1))}
             for coset in cosets:
                 for a in (3,):
@@ -131,7 +131,7 @@ class TestTs:
                     result = ParahoricVector.collect(T_s(h.expand(), a), delta)
                     cs = c_s(a, Perm.identity(N))
                     verdict = simple_trichotomy(a, coset)
-                    moved = LeviCoset.of(Perm.simple(a, N) * coset.rep, delta)
+                    moved = LeviCoset(Perm.simple(a, N) * coset.rep, delta)
                     if verdict is Trichotomy.PERMUTES:
                         expected = {coset: cs}
                     elif verdict is Trichotomy.ALL_LONGER:
@@ -183,10 +183,10 @@ class TestMTau:
         b = SpinParabolic.borel(2)
         expansion, prenorm = m_tau_expansion(2, b)
         assert len(expansion) == 2
-        identity_key = LeviCoset.of(Perm.identity(2), frozenset())
+        identity_key = LeviCoset(Perm.identity(2), frozenset())
         assert expansion[identity_key] == RatFunc.const(1, 5)
         assert prenorm == RatFunc.const(1, 5)
-        other_key = LeviCoset.of(Perm((2, 1)), frozenset())
+        other_key = LeviCoset(Perm((2, 1)), frozenset())
         # independent derivation: one shortening step gives c_s - p^{-1}
         assert expansion[other_key] == \
             c_s(3, Perm.identity(4)) - RatFunc.p_inverse(5)
@@ -274,10 +274,10 @@ class TestMTau:
             if not p.contained_in_nn:
                 continue
             delta_k = _delta_of(lower_block_composition(p), n)
-            cosets = {LeviCoset.of(Perm(images), delta_k)
+            cosets = {LeviCoset(Perm(images), delta_k)
                       for images in itertools.permutations(range(1, n + 1))}
             for coset in cosets:
-                gl_coset = LeviCoset.of(w_of_rho(coset.rep), p.delta)
+                gl_coset = LeviCoset(w_of_rho(coset.rep), p.delta)
                 for letter in range(1, n):
                     assert simple_trichotomy(letter, coset) is \
                         simple_trichotomy(n + letter, gl_coset)
@@ -292,15 +292,15 @@ class TestMTau:
             delta_k = _delta_of(lower_block_composition(p), n)
             for images in itertools.permutations(range(1, n + 1)):
                 rho = Perm(images)
-                gl_coset = LeviCoset.of(w_of_rho(rho), p.delta)
-                assert LeviCoset.of(_rho_of_gl_coset(gl_coset, n), delta_k) == \
-                    LeviCoset.of(rho, delta_k)
+                gl_coset = LeviCoset(w_of_rho(rho), p.delta)
+                assert LeviCoset(_rho_of_gl_coset(gl_coset, n), delta_k) == \
+                    LeviCoset(rho, delta_k)
             # the first n values are not n+1..2n
             with pytest.raises(ValueError, match="does not come from the lower block"):
-                _rho_of_gl_coset(LeviCoset.of(Perm.identity(2 * n), p.delta), n)
+                _rho_of_gl_coset(LeviCoset(Perm.identity(2 * n), p.delta), n)
         # the first n values are, but the last n are not those of any w(rho)
         with pytest.raises(ValueError, match="does not come from the lower block"):
-            _rho_of_gl_coset(LeviCoset.of(Perm((3, 4, 1, 2)), frozenset()), 2)
+            _rho_of_gl_coset(LeviCoset(Perm((3, 4, 1, 2)), frozenset()), 2)
 
 
 class TestNuBeta:
@@ -367,7 +367,7 @@ class TestFactorisationGate:
             for d in itertools.permutations(range(1, n + 1)):
                 if factorisation_membership(Perm(d), p):
                     rho = Perm(d) * Perm.longest(n)
-                    passing_rhos.add(LeviCoset.of(rho, delta_k))
+                    passing_rhos.add(LeviCoset(rho, delta_k))
             assert len(passing_rhos) == 1
             assert passing_rhos.pop().rep == Perm.identity(n)
 

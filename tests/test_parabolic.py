@@ -1,5 +1,6 @@
 import itertools
 import random
+import resource
 
 import pytest
 
@@ -11,6 +12,12 @@ from spinref.parabolic import (NotSpinError, RankMemoryError, SpinParabolic, all
 from spinref.rootdata import PureWeight
 
 LAM = PureWeight.from_coeffs((12, 1, -1, -12))
+
+
+def unlimited(monkeypatch):
+    """Patch getrlimit to report no soft or hard limit, as in an unlimited shell."""
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda limit: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
 
 
 class TestConstruction:
@@ -40,9 +47,9 @@ class TestConstruction:
         # building delta takes about 100 bytes for each of its 2n - r indices
         monkeypatch.setattr(parabolic, "physical_memory", lambda: 100 * 4)
         assert SpinParabolic.from_composition((3, 3)).delta == frozenset({1, 2, 4, 5})
-        with pytest.raises(RankMemoryError, match=r"^rank n=5 needs more than the 400 bytes "
-                                                  r"of memory this process may use for the "
-                                                  r"Levi of its composition$"):
+        with pytest.raises(RankMemoryError, match=r"^n=5 needs 600 bytes for the Levi of its "
+                                                  r"composition, more than the 400 bytes of "
+                                                  r"memory this process may use$"):
             SpinParabolic.from_composition((1, 4, 4, 1))
         # the palindrome is checked first
         with pytest.raises(NotSpinError):
@@ -76,6 +83,7 @@ class TestConstruction:
          1500000),
     ])
     def test_physical_memory_honours_the_cgroup_limit(self, monkeypatch, files, expected):
+        unlimited(monkeypatch)
         reads = []
 
         def read(path):
@@ -100,6 +108,7 @@ class TestConstruction:
 
         files = {"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "1000000\n"}
         monkeypatch.setattr(parabolic.os, "sysconf", no_sysconf)
+        unlimited(monkeypatch)
         parabolic.physical_memory.cache_clear()
         try:
             monkeypatch.setattr(parabolic, "_read_text", files.get)
@@ -107,6 +116,23 @@ class TestConstruction:
             parabolic.physical_memory.cache_clear()
             monkeypatch.setattr(parabolic, "_read_text", {}.get)
             assert parabolic.physical_memory() is None
+        finally:
+            parabolic.physical_memory.cache_clear()
+
+    @pytest.mark.parametrize("name", ["RLIMIT_AS", "RLIMIT_DATA"])
+    def test_physical_memory_honours_the_soft_rlimit(self, monkeypatch, name):
+        # a soft limit below physical memory and the cgroup limit; the hard
+        # limit, above both, is not read
+        files = {"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "3000000\n"}
+        monkeypatch.setattr(parabolic, "_read_text", files.get)
+        monkeypatch.setattr(parabolic.os, "sysconf",
+                            {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}.__getitem__)
+        soft = {getattr(resource, name): 2000000}
+        monkeypatch.setattr(resource, "getrlimit", lambda limit: (
+            soft.get(limit, resource.RLIM_INFINITY), 8000000))
+        parabolic.physical_memory.cache_clear()
+        try:
+            assert parabolic.physical_memory() == 2000000
         finally:
             parabolic.physical_memory.cache_clear()
 
@@ -122,7 +148,8 @@ class TestConstruction:
         monkeypatch.setattr(parabolic, "composition_delta", build)
         with pytest.raises(NotSpinError, match=r"^composition \(1, 2, 1000"):
             SpinParabolic.from_composition((1, 2, 10 ** 4000 + 1))
-        with pytest.raises(RankMemoryError, match=r"^rank n above 10\^60 needs more than"):
+        with pytest.raises(RankMemoryError,
+                           match=r"^n above 10\^60 needs over 10\^60 bytes for the Levi"):
             SpinParabolic.from_composition((10 ** 4000, 10 ** 4000))
 
     @pytest.mark.parametrize("N", range(1, 9))

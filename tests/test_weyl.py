@@ -141,7 +141,7 @@ class TestCosets:
         for images in itertools.permutations((1, 2, 3, 4)):
             sigma = Perm(images)
             for delta in deltas:
-                coset = LeviCoset.of(sigma, delta)
+                coset = LeviCoset(sigma, delta)
                 members = list(coset.members())
                 assert sigma in members
                 lengths = {m: m.length() for m in members}
@@ -153,16 +153,16 @@ class TestCosets:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_coset_from_any_member_is_the_same_value(self, N):
         # the constructor canonicalises: built from any member, a coset
-        # equals and hashes like LeviCoset.of of any other member
+        # equals and hashes like the LeviCoset of any other member
         for bits in range(2 ** (N - 1)):
             delta = frozenset(i for i in range(1, N) if bits >> (i - 1) & 1)
             for images in itertools.permutations(range(1, N + 1)):
-                members = list(LeviCoset.of(Perm(images), delta).members())
+                members = list(LeviCoset(Perm(images), delta).members())
                 for member in members:
                     coset = LeviCoset(member, delta)
                     for other in members:
-                        assert coset == LeviCoset.of(other, delta)
-                        assert hash(coset) == hash(LeviCoset.of(other, set(delta)))
+                        assert coset == LeviCoset(other, delta)
+                        assert hash(coset) == hash(LeviCoset(other, set(delta)))
 
     def test_position_blocks(self):
         assert [list(b) for b in position_blocks({2, 3, 4}, 6)] == \
@@ -179,18 +179,18 @@ class TestCosets:
             assert composition_delta(len(b) for b in position_blocks(delta, N)) == delta
 
     def test_members_count(self):
-        coset = LeviCoset.of(Perm.identity(4), {1, 3})
+        coset = LeviCoset(Perm.identity(4), {1, 3})
         assert coset.size() == 4 == len(list(coset.members()))
         assert coset.block_values() == ((1, 2), (3, 4))
 
 
 class TestTrichotomy:
     def test_permutes_example(self):
-        coset = LeviCoset.of(Perm.identity(4), {1})
+        coset = LeviCoset(Perm.identity(4), {1})
         assert simple_trichotomy(1, coset) is Trichotomy.PERMUTES
 
     def test_all_longer_example(self):
-        coset = LeviCoset.of(Perm.identity(4), frozenset())
+        coset = LeviCoset(Perm.identity(4), frozenset())
         assert simple_trichotomy(1, coset) is Trichotomy.ALL_LONGER
 
     @pytest.mark.parametrize("N", [4, 6, 8])
@@ -200,14 +200,14 @@ class TestTrichotomy:
         if N < 8:
             deltas = [frozenset(s) for r in range(N)
                       for s in itertools.combinations(range(1, N), r)]
-            cosets = {LeviCoset.of(Perm(images), delta) for delta in deltas
+            cosets = {LeviCoset(Perm(images), delta) for delta in deltas
                       for images in itertools.permutations(range(1, N + 1))}
         else:
             rng = random.Random(N)
             cosets = set()
             while len(cosets) < 300:
                 delta = frozenset(i for i in range(1, N) if rng.random() < 0.5)
-                coset = LeviCoset.of(Perm(tuple(rng.sample(range(1, N + 1), N))), delta)
+                coset = LeviCoset(Perm(tuple(rng.sample(range(1, N + 1), N))), delta)
                 if coset.size() <= 1000:
                     cosets.add(coset)
         for coset in cosets:
