@@ -1,12 +1,14 @@
 """The shared base of spinref's value types.
 
-A value class lists its fields in ``__slots__``, in order, and stores them
-in its own ``__init__`` with ``set_field``.  An instance then equals only
-an instance of the same class with equal fields, hashes as the tuple of
-its fields, prints as ``Name(field=value, ...)``, pickles and copies, and
-refuses assignment and deletion with AttributeError.  A subclass that adds
-no field declares ``__slots__ = ()``.  An instance with a dict field is
-unhashable, as the tuple of its fields is.
+A value class lists its fields in ``__slots__``, in order.  One that only
+stores its arguments writes no ``__init__``: ``Value.__init__`` takes one
+value per field, by position or name.  One that checks, derives or
+defaults a field writes its own, storing each field with ``set_field``.
+An instance equals only an instance of the same class with equal fields,
+hashes as the tuple of its fields, prints as ``Name(field=value, ...)``,
+pickles and copies, and refuses assignment and deletion with
+AttributeError.  A subclass that adds no field declares ``__slots__ = ()``.
+An instance with a dict field is unhashable, as the tuple of its fields is.
 """
 
 from __future__ import annotations
@@ -42,6 +44,18 @@ class Value:
         cls.__eq__ = __eq__
         cls.__hash__ = __hash__
 
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            # by name exactly the fields that the positional arguments leave
+            if len(args) > len(fields) or kwargs.keys() != set(fields[len(args):]):
+                raise TypeError(f"{self.__class__.__qualname__}({', '.join(fields)}) takes one "
+                                f"value per field, got {len(args)} and names {sorted(kwargs)}")
+            for name, value in kwargs.items():
+                set_field(self, name, value)
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
@@ -56,5 +70,4 @@ class Value:
         return tuple(getattr(self, name) for name in self._fields)
 
     def __setstate__(self, state):
-        for name, value in zip(self._fields, state):
-            set_field(self, name, value)
+        Value.__init__(self, *state)

@@ -115,7 +115,9 @@ def _parse_sigma(text: str) -> Refinement:
     try:
         return Refinement.from_one_line(text)
     except ValueError as exc:
-        raise CliError(f"malformed permutation: {_why(exc, text)}", EXIT_BAD_PERM) from exc
+        # without a comma each digit is one value, so no number is past int()'s limit
+        why = _why(exc, text) if "," in text else _cut(str(exc))
+        raise CliError(f"malformed permutation: {why}", EXIT_BAD_PERM) from exc
 
 
 def _parse_weight(text: str) -> PureWeight:
@@ -574,15 +576,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except NotSpinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_SPIN
     except SelfCheckError as exc:
         print(f"error: internal self-check failed: {exc}", file=sys.stderr)
         return EXIT_SELF_CHECK
-    except ValueError as exc:
+    except ValueError as exc:  # NotSpinError among them
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_NOT_SPIN if isinstance(exc, NotSpinError) else 1
     except MemoryError as exc:  # a refusal (RankMemoryError) or memory run out
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BOUND

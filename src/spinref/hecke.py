@@ -484,11 +484,6 @@ class CertificateRow(Value):
     combination: tuple[tuple[str, Fraction], ...]
     residual: Fraction
 
-    def __init__(self, combination: tuple[tuple[str, Fraction], ...],
-                 residual: Fraction) -> None:
-        set_field(self, "combination", combination)
-        set_field(self, "residual", residual)
-
     def describe(self) -> str:
         terms = " + ".join(f"({c})*[{label}]" for label, c in self.combination)
         return f"{terms} = {self.residual} != 0"
@@ -637,21 +632,11 @@ class SlopeBoundRow(Value):
     value: Fraction
     ok: bool
 
-    def __init__(self, index: int, bound: int, value: Fraction, ok: bool) -> None:
-        set_field(self, "index", index)
-        set_field(self, "bound", bound)
-        set_field(self, "value", value)
-        set_field(self, "ok", ok)
-
 
 class NonCriticalAudit(Value):
     __slots__ = ("ok", "rows")
     ok: bool
     rows: tuple[SlopeBoundRow, ...]
-
-    def __init__(self, ok: bool, rows: tuple[SlopeBoundRow, ...]) -> None:
-        set_field(self, "ok", ok)
-        set_field(self, "rows", rows)
 
 
 def non_critical_slope(lam: PureWeight, slopes: Mapping[int, Fraction | int],
@@ -686,10 +671,6 @@ class PairFlags(Value):
     __slots__ = ("reducible", "regular_fail")
     reducible: bool
     regular_fail: bool
-
-    def __init__(self, reducible: bool, regular_fail: bool) -> None:
-        set_field(self, "reducible", reducible)
-        set_field(self, "regular_fail", regular_fail)
 
 
 def build_circ_alphas(r: Refinement, lam: PureWeight) -> dict[int, SatakeMonomial]:

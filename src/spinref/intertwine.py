@@ -130,10 +130,6 @@ class ParahoricVector(Value):
     twist: Perm
     cosets: dict[LeviCoset, RatFunc]
 
-    def __init__(self, twist: Perm, cosets: dict[LeviCoset, RatFunc]) -> None:
-        set_field(self, "twist", twist)
-        set_field(self, "cosets", cosets)
-
     def expand(self) -> PSVector:
         out = PSVector(self.twist, {})
         for coset, coeff in self.cosets.items():
@@ -307,10 +303,6 @@ class NuBetaMatrix(Value):
     n: int
     exponents: tuple[int, ...]
 
-    def __init__(self, n: int, exponents: tuple[int, ...]) -> None:
-        set_field(self, "n", n)
-        set_field(self, "exponents", exponents)
-
     @property
     def integral(self) -> bool:
         return all(e >= 0 for e in self.exponents)
@@ -340,13 +332,6 @@ class SupportVerdict(Value):
     block_count_parity: str
     contained_in_Q: bool
     matrix: NuBetaMatrix
-
-    def __init__(self, integral: bool, block_count_parity: str, contained_in_Q: bool,
-                 matrix: NuBetaMatrix) -> None:
-        set_field(self, "integral", integral)
-        set_field(self, "block_count_parity", block_count_parity)
-        set_field(self, "contained_in_Q", contained_in_Q)
-        set_field(self, "matrix", matrix)
 
     @property
     def forced_vanishing(self) -> bool:

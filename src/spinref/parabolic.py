@@ -14,6 +14,7 @@ modeled: a non-spin delta is refused when the parabolic is built.
 from __future__ import annotations
 
 import os
+import re
 from collections.abc import Iterable, Iterator
 from functools import cache
 
@@ -81,8 +82,8 @@ def physical_memory() -> int | None:
     """Bytes of memory this process may use, or None where nothing says.
 
     The smallest of physical memory, the process's cgroup limits
-    (_cgroup_limits) and its soft RLIMIT_AS and RLIMIT_DATA (where the
-    resource module exists), read once per process.
+    (_cgroup_limits) and its soft RLIMIT_AS and RLIMIT_DATA (where the resource
+    module exists) less the VmSize and VmData it maps, read once per process.
     """
     limits = _cgroup_limits()
     try:
@@ -94,10 +95,12 @@ def physical_memory() -> int | None:
     except ImportError:  # not on Windows
         pass
     else:
-        for limit in (resource.RLIMIT_AS, resource.RLIMIT_DATA):
+        status = _read_text("/proc/self/status") or ""
+        for limit, mapped in ((resource.RLIMIT_AS, "VmSize"), (resource.RLIMIT_DATA, "VmData")):
             soft, _ = resource.getrlimit(limit)
             if soft != resource.RLIM_INFINITY:
-                limits.append(soft)
+                used = re.search(rf"^{mapped}:\s*(\d+) kB$", status, re.MULTILINE)
+                limits.append(max(0, soft - (1024 * int(used[1]) if used else 0)))
     return min(limits, default=None)
 
 

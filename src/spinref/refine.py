@@ -78,10 +78,6 @@ class ParahoricRefinement(Value):
     parabolic: SpinParabolic
     coset: LeviCoset
 
-    def __init__(self, parabolic: SpinParabolic, coset: LeviCoset) -> None:
-        set_field(self, "parabolic", parabolic)
-        set_field(self, "coset", coset)
-
 
 class GammaMap(Value):
     """The injective pairing map {1..n} -> {1..2n} attached to a refinement.
@@ -91,9 +87,6 @@ class GammaMap(Value):
 
     __slots__ = ("values",)
     values: tuple[int, ...]
-
-    def __init__(self, values: tuple[int, ...]) -> None:
-        set_field(self, "values", values)
 
     def __call__(self, i: int) -> int:
         return self.values[i - 1]
@@ -109,10 +102,6 @@ class SpinProfile(Value):
     __slots__ = ("spin_set", "optimal")
     spin_set: frozenset[int]
     optimal: SpinParabolic
-
-    def __init__(self, spin_set: frozenset[int], optimal: SpinParabolic) -> None:
-        set_field(self, "spin_set", spin_set)
-        set_field(self, "optimal", optimal)
 
 
 def gamma(r: Refinement) -> GammaMap:

@@ -723,6 +723,7 @@ class TestLongInput:
         (1, ["classify", "--n", "-" + "1" * 4000]),
         (1, ["classify", "--n", "2", "--format", "x" * 5000]),
         (1, ["classify", "--n", "2", "y" * 5000]),
+        (3, ["info", "--sigma", ONES]),
     ])
     def test_one_short_line(self, capsys, code, argv):
         got, out, err = run(capsys, *argv)
@@ -734,6 +735,14 @@ class TestLongInput:
         _, _, err = run(capsys, "zeta", "--parabolic", "2,2", "--beta", ONES)
         assert err == (f"error: argument --beta: invalid int value: '{ONES[:cli.QUOTE_CAP]}…' "
                        f"(more than {sys.get_int_max_str_digits()} digits)\n")
+
+    def test_concatenated_digits_read_one_at_a_time(self, capsys):
+        # no comma: each digit is one value, so no number passes the digit limit
+        assert run(capsys, "info", "--sigma", ONES) == (
+            3, "", "error: malformed permutation: position 2: value 1 repeated\n")
+        _, _, err = run(capsys, "info", "--sigma", f"1,{ONES}")
+        assert err == (f"error: malformed permutation: more than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
 
     def test_zero_denominator_named(self, capsys):
         assert run(capsys, *SLOPES, "1=1/0") == (
@@ -849,6 +858,16 @@ class TestEntryPoint:
         assert proc.returncode == 2 and proc.stdout == ""
         assert_one_error_line(proc.stderr)
         assert proc.stderr.endswith(" bytes of memory this process may use\n")
+
+    def test_refusal_counts_the_mapped_address_space(self):
+        # the Levi (200 MB) fits under the 204.8 MB limit alone, but not
+        # beside the 20 MB or so that the interpreter has already mapped
+        proc = self.spinref("zeta", "--parabolic", "1000000,1000000",
+                            address_space=200000 * 1024)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert_one_error_line(proc.stderr)
+        assert proc.stderr.startswith(
+            "error: n=1000000 needs 199999800 bytes for the Levi of its composition, ")
 
     def test_zeta(self):
         proc = self.spinref("zeta", "--parabolic", "1,2,1")

@@ -669,7 +669,7 @@ class TestSolverMatchesReference:
     # refinements with a profile each or one shared profile
     SHAPES = ("all", "some", "perturbed", "joint", "joint-shared")
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_random_systems(self, n):
         rng = random.Random(700 + n)
         N = 2 * n

@@ -136,6 +136,28 @@ class TestConstruction:
         finally:
             parabolic.physical_memory.cache_clear()
 
+    @pytest.mark.parametrize("name, mapped, expected", [
+        ("RLIMIT_AS", "VmSize:\t    1000 kB", 2000000 - 1024000),
+        ("RLIMIT_DATA", "VmData:\t     500 kB", 2000000 - 512000),
+        ("RLIMIT_AS", "VmSize:\t    3000 kB", 0),
+        ("RLIMIT_AS", "VmData:\t    1000 kB", 2000000),
+    ])
+    def test_soft_rlimit_less_what_is_mapped(self, monkeypatch, name, mapped, expected):
+        # RLIMIT_AS counts VmSize and RLIMIT_DATA counts VmData from
+        # /proc/self/status; what is left is floored at 0
+        files = {"/proc/self/status": f"Name:\tpython3\n{mapped}\nVmRSS:\t     900 kB\n"}
+        monkeypatch.setattr(parabolic, "_read_text", files.get)
+        monkeypatch.setattr(parabolic.os, "sysconf",
+                            {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}.__getitem__)
+        soft = {getattr(resource, name): 2000000}
+        monkeypatch.setattr(resource, "getrlimit", lambda limit: (
+            soft.get(limit, resource.RLIM_INFINITY), 8000000))
+        parabolic.physical_memory.cache_clear()
+        try:
+            assert parabolic.physical_memory() == expected
+        finally:
+            parabolic.physical_memory.cache_clear()
+
     def test_read_text_of_a_missing_file_is_none(self, tmp_path):
         assert parabolic._read_text(str(tmp_path / "missing")) is None
         (tmp_path / "limit").write_text("123\n")

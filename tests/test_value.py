@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from spinref._value import Value
 from spinref.hecke import (CertificateRow, HeckeWord, NonCriticalAudit, PairFlags,
                            ProfileSolution, SatakeMonomial, SlopeBoundRow, ValuationProfile)
 from spinref.intertwine import NuBetaMatrix, ParahoricVector, PSVector, SupportVerdict
@@ -185,6 +186,30 @@ def test_copy_and_pickle(name):
     a = build()[name]
     for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(clone) is type(a) and clone == a and repr(clone) == repr(a)
+
+
+# The types that only store their arguments, through Value.__init__; the
+# others check, derive or default a field in their own __init__.
+RECORDS = ("CertificateRow", "SlopeBoundRow", "NonCriticalAudit", "PairFlags", "ParahoricVector",
+           "NuBetaMatrix", "SupportVerdict", "ParahoricRefinement", "GammaMap", "SpinProfile")
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_only_records_use_the_shared_init(name):
+    assert (type(build()[name]).__init__ is Value.__init__) == (name in RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_refuses_a_call_that_does_not_fit_its_fields(name):
+    a = build()[name]
+    values = [getattr(a, f) for f in FIELDS[name]]
+    # too few, too many, an unknown name, a field given twice
+    for args, kwargs in [(values[:-1], {}), ((*values, 0), {}), (values, {"extra": 0}),
+                         (values, {FIELDS[name][0]: values[0]})]:
+        with pytest.raises(TypeError) as refused:
+            type(a)(*args, **kwargs)
+        assert str(refused.value).startswith(
+            f"{name}({', '.join(FIELDS[name])}) takes one value per field, got ")
 
 
 def test_defaults():
