@@ -35,7 +35,7 @@ import functools
 import json
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profile)
@@ -73,34 +73,50 @@ def _cut(text: str) -> str:
     return text if len(text) <= QUOTE_CAP else text[:QUOTE_CAP] + "…"
 
 
-def _too_long(text: str) -> str | None:
-    """Names a run of digits in text past Python's int() limit, else None."""
+def _too_long(text: str, parse: Callable[[str], object]) -> str | None:
+    """Names Python's int() digit limit when parse refused text for a number past it.
+
+    That is when text has a run of ASCII digits past the limit and parse
+    accepts text with each such run cut to one digit; when the refused
+    part is something else (an "x"), the limit is not named.
+    """
     limit = sys.get_int_max_str_digits()
-    if limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
-        return f"more than {limit} digits"
-    return None
+    if not limit:
+        return None
+    cut = re.sub(f"[0-9]{{{limit + 1},}}", "1", text)
+    if cut == text:
+        return None
+    try:
+        parse(cut)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return f"more than {limit} digits"
 
 
 def _why(exc: Exception, text: str) -> str:
     """Why text was refused: exc's message, cut like a quote when text is long.
 
-    A too-long number and a zero denominator are named in plain words
-    instead of CPython's advice and Fraction(1, 0).
+    A zero denominator is named in plain words instead of Fraction(1, 0).
     """
     if isinstance(exc, ZeroDivisionError):
         return "zero denominator"
-    return _too_long(text) or (str(exc) if len(text) <= QUOTE_CAP else _cut(str(exc)))
+    return str(exc) if len(text) <= QUOTE_CAP else _cut(str(exc))
+
+
+def _integer(text: str) -> int:
+    """int(text) for an integer (is_integer), else ValueError."""
+    if not is_integer(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def _int(text: str) -> int:
     """type= of the int options: an integer (is_integer), or argparse's
     refusal text with the value cut."""
-    if is_integer(text):
-        try:
-            return int(text)
-        except ValueError:  # past Python's int-string limit
-            pass
-    reason = _too_long(text)
+    try:
+        return _integer(text)
+    except ValueError:
+        reason = _too_long(text, _integer)
     raise argparse.ArgumentTypeError(
         f"invalid int value: {_cut(text)!r}" + (f" ({reason})" if reason else ""))
 
@@ -116,7 +132,8 @@ def _parse_sigma(text: str) -> Refinement:
         return Refinement.from_one_line(text)
     except ValueError as exc:
         # without a comma each digit is one value, so no number is past int()'s limit
-        why = _why(exc, text) if "," in text else _cut(str(exc))
+        why = (_too_long(text, parse_integers) or _why(exc, text) if "," in text
+               else _cut(str(exc)))
         raise CliError(f"malformed permutation: {why}", EXIT_BAD_PERM) from exc
 
 
@@ -125,7 +142,7 @@ def _parse_weight(text: str) -> PureWeight:
         coeffs = parse_integers(text)
     except ValueError as exc:
         raise CliError(f"bad weight {_cut(text)!r}: "
-                       f"{_too_long(text) or 'integers expected'}") from exc
+                       f"{_too_long(text, parse_integers) or 'integers expected'}") from exc
     try:
         lam = PureWeight.from_coeffs(coeffs)
     except ValueError as exc:
@@ -136,6 +153,14 @@ def _parse_weight(text: str) -> PureWeight:
 
 
 _EXPONENT = re.compile(r"[0-9.][eE]")
+
+
+def _slope_entry(piece: str) -> tuple[int, Fraction]:
+    key, _, value = piece.partition("=")
+    # the value is read first: an index past the digit limit is refused
+    # only beside a valid value, as _too_long reads it
+    slope = Fraction(value)
+    return int(key), slope
 
 
 def _parse_slopes(text: str) -> dict[int, Fraction]:
@@ -162,10 +187,10 @@ def _parse_slopes(text: str) -> dict[int, Fraction]:
             raise CliError(f"bad slope entry {_cut(piece)!r}: underscores are not accepted",
                            EXIT_MISSING_DATA)
         try:
-            index, slope = int(key), Fraction(value)
+            index, slope = _slope_entry(piece)
         except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad slope entry {_cut(piece)!r}: {_why(exc, piece)}",
-                           EXIT_MISSING_DATA) from exc
+            why = _too_long(piece, _slope_entry) or _why(exc, piece)
+            raise CliError(f"bad slope entry {_cut(piece)!r}: {why}", EXIT_MISSING_DATA) from exc
         if index in out:
             raise CliError(f"duplicate slope index {_cut(str(index))}", EXIT_MISSING_DATA)
         out[index] = slope
@@ -178,7 +203,8 @@ def _parse_parabolic(text: str, n: int | None = None) -> SpinParabolic:
     except NotSpinError as exc:
         raise CliError(_why(exc, text), EXIT_NOT_SPIN) from exc
     except ValueError as exc:
-        raise CliError(f"bad composition {_cut(text)!r}: {_why(exc, text)}") from exc
+        why = _too_long(text, parse_composition) or _why(exc, text)
+        raise CliError(f"bad composition {_cut(text)!r}: {why}") from exc
     if n is not None and p.n != n:
         raise CliError(f"composition {_cut(text)!r} is for GL({2 * p.n}), expected GL({2 * n})")
     return p

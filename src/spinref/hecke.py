@@ -26,7 +26,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from ._value import Value, set_field
 from .parabolic import SelfCheckError, SpinParabolic
@@ -511,67 +512,56 @@ class ProfileSolution(Value):
         set_field(self, "certificate", certificate)
 
 
-def _eliminate(rows: list[tuple[list[int], Fraction, str]], num_vars: int):
-    """Fraction-free Gauss elimination tracking the provenance of every derived row.
-
-    Each working row is one integer vector [coeffs | rhs | combination], a
-    nonzero multiple of the rational row, first scaled by the denominator
-    of its rhs.  A row is reduced against each earlier pivot as
-    a*row - b*pivot and then divided by the gcd of its entries.  The
-    rational row has coefficient 1 on its own equation, so the integer
-    row's own combination entry is its scale: dividing by it recovers the
-    rational combination, which is unique since the pivot rows are
-    linearly independent.
-
-    Returns (pivots: dict col -> reduced integer row, certificate rows).
-    """
-    labels = [label for _, _, label in rows]
-    pivots: dict[int, list[int]] = {}
-    bad: list[CertificateRow] = []
-    for idx, (coeffs, rhs, _) in enumerate(rows):
-        scale = rhs.denominator
-        row = [c * scale for c in coeffs] + [rhs.numerator] + [0] * len(rows)
-        row[num_vars + 1 + idx] = scale
-        for col in sorted(pivots):
-            if row[col]:
-                pivot = pivots[col]
-                g = gcd(row[col], pivot[col])
-                a, b = pivot[col] // g, row[col] // g
-                row = [a * x - b * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                row = [x // g for x in row]
-        lead = next((c for c in range(num_vars) if row[c]), None)
-        if lead is None:
-            if row[num_vars]:
-                scale = row[num_vars + 1 + idx]
-                combination = tuple((labels[i], Fraction(c, scale))
-                                    for i, c in enumerate(row[num_vars + 1:]) if c)
-                bad.append(CertificateRow(combination, Fraction(row[num_vars], scale)))
-            continue
-        pivots[lead] = row
-    return pivots, bad
-
-
 def _check_slope_indices(slopes: Mapping[int, Fraction | int], n: int) -> None:
     for k in sorted(slopes):
         if not (1 <= k <= 2 * n):
             raise ValueError(f"slope index {k} outside 1..{2 * n}")
 
 
-def _slope_rows(slopes: Mapping[int, Fraction | int], lam: PureWeight, sigma: Perm,
-                tag: str) -> list[tuple[list[int], Fraction, str]]:
-    n = lam.n
-    if sigma.degree != 2 * n:
-        raise ValueError("rank mismatch")
-    _check_slope_indices(slopes, n)
-    rows = []
-    for k in sorted(slopes):
-        coeffs = [0] * (2 * n + 1)
-        for j in range(1, k + 1):
-            coeffs[sigma(j) - 1] += 1
-        rhs = Fraction(slopes[k]) - sum(lam.coeffs[:k]) - Fraction(delta_half_exponent(k, n), 2)
-        rows.append((coeffs, rhs, f"slope{tag}:U_{k}"))
-    return rows
+def _divide_content(row: dict[int, int]) -> None:
+    g = gcd(*row.values())
+    if g > 1:
+        for key in row:
+            row[key] //= g
+
+
+def _reduce(row: dict[int, int], pivots: dict[int, dict[int, int]], num_vars: int) -> int | None:
+    """Reduce row in place against pivots, pivot columns in increasing order.
+
+    Keys below num_vars are the unknowns' columns (see solve_profile_joint
+    for the others).  Each step is a*row - b*pivot, fraction-free; a step
+    that scales the row (a != 1) divides it by the gcd of its entries.
+    Returns the leading column, which is no pivot's, or None when every
+    coefficient cancelled.
+    """
+    heap = [key for key in row if key < num_vars]
+    heapify(heap)
+    while heap:
+        col = heappop(heap)
+        x = row.get(col)
+        if not x:
+            continue
+        pivot = pivots.get(col)
+        if pivot is None:
+            return col
+        g = gcd(x, pivot[col])
+        a, b = pivot[col] // g, x // g
+        if a != 1:
+            for key in row:
+                row[key] *= a
+        for key, v in pivot.items():
+            w = row.get(key)
+            if w is None:
+                row[key] = -b * v
+                if key < num_vars:
+                    heappush(heap, key)
+            elif w == b * v:
+                del row[key]
+            else:
+                row[key] = w - b * v
+        if a != 1:
+            _divide_content(row)
+    return None
 
 
 def solve_profile_joint(systems: Sequence[tuple[Perm, Mapping[int, Fraction | int]]],
@@ -583,35 +573,110 @@ def solve_profile_joint(systems: Sequence[tuple[Perm, Mapping[int, Fraction | in
     purity ties opposite entries to eta.  Free unknowns are reported (set
     to zero in the particular solution), and inconsistencies come back as
     labeled certificates (joint labels in one-line notation) instead of a profile.
+
+    The slope row of index k is the prefix sum of t over sigma(1..k), so
+    each system's rows enter in the prefix-difference basis: row k less
+    the system's previous declared row k', the sum of t over
+    sigma(k'+1..k).  When row k' was dependent, its reduction (which names
+    only independent rows) stands in for it, so no certificate names a
+    dependent row.  Each prefix of rows spans what the plain rows span,
+    so the pivot columns, the free unknowns, the particular solution and
+    the certificates (the unique combination of a dependent row with the
+    earlier independent rows) are those of plain Gauss elimination in row
+    order.
+
+    Every right-hand side is scaled once by D, the lcm of 2 and the slope
+    denominators, so the rows solve for D*t in integers.  A row is one
+    sparse dict: columns 0..2n, the right-hand side at 2n + 1, and its
+    combination of input equations at 2n + 2 + row index.
     """
     n = lam.n
-    num_vars = 2 * n + 1
-    rows: list[tuple[list[int], Fraction, str]] = []
+    N = 2 * n
+    declared = []
     for sigma, slopes in systems:
+        if sigma.degree != N:
+            raise ValueError("rank mismatch")
+        _check_slope_indices(slopes, n)
+        declared.append((sigma, [(k, Fraction(slopes[k])) for k in sorted(slopes)]))
+    num_vars = N + 1
+    rhs_key = num_vars
+    base = rhs_key + 1
+    scale = lcm(2, *(value.denominator for _, values in declared for _, value in values))
+    lam_prefix = list(itertools.accumulate(lam.coeffs, initial=0))
+    labels: list[str] = []
+    pivots: dict[int, dict[int, int]] = {}
+    bad: list[CertificateRow] = []
+
+    def add(row: dict[int, int], own: int, rhs: int) -> dict[int, int] | None:
+        """Reduce the row whose own combination key is own; None if it is
+        independent, else the reduced row."""
+        if rhs:
+            row[rhs_key] = rhs
+        lead = _reduce(row, pivots, num_vars)
+        if abs(row[own]) != 1:  # else the content, which divides row[own], is 1
+            _divide_content(row)
+        if lead is not None:
+            if row[lead] < 0:  # a positive lead keeps _reduce's a positive
+                for key in row:
+                    row[key] = -row[key]
+            pivots[lead] = row
+            return None
+        if rhs_key in row:
+            s = row[own]
+            bad.append(CertificateRow(
+                tuple((labels[key - base], Fraction(v, s))
+                      for key, v in sorted(row.items()) if key >= base),
+                Fraction(row[rhs_key], s * scale)))
+        return row
+
+    for sigma, values in declared:
         tag = f"[{format_one_line(sigma)}]" if len(systems) > 1 else ""
-        rows.extend(_slope_rows(slopes, lam, sigma, tag))
+        images = sigma.images
+        prev_k = prev_rhs = 0
+        prev_key = dependent = None
+        for k, value in values:
+            rhs = (value.numerator * (scale // value.denominator) - scale * lam_prefix[k]
+                   - delta_half_exponent(k, n) * (scale // 2))
+            cols = [images[j] - 1 for j in range(prev_k, k)]
+            own = base + len(labels)
+            labels.append(f"slope{tag}:U_{k}")
+            if dependent is None:
+                row = dict.fromkeys(cols, 1)
+                row[own] = 1
+                if prev_key is not None:
+                    row[prev_key] = -1
+                step = rhs - prev_rhs
+            else:
+                s = dependent.pop(prev_key)
+                step = s * (rhs - prev_rhs) + dependent.pop(rhs_key, 0)
+                row = dict.fromkeys(cols, s)
+                row.update(dependent)
+                row[own] = s
+            dependent = add(row, own, step)
+            prev_k, prev_rhs, prev_key = k, rhs, own
     for i in range(1, n + 1):
-        coeffs = [0] * num_vars
-        coeffs[i - 1] += 1
-        coeffs[2 * n - i] += 1
-        coeffs[2 * n] -= 1
-        rows.append((coeffs, Fraction(0), f"purity:{i}"))
-    pivots, bad = _eliminate(rows, num_vars)
+        own = base + len(labels)
+        labels.append(f"purity:{i}")
+        add({i - 1: 1, N - i: 1, N: -1, own: 1}, own, 0)
     if bad:
         return ProfileSolution("inconsistent", None, certificate=tuple(bad))
-    names = [f"t_{i}" for i in range(1, 2 * n + 1)] + ["eta"]
-    # Back-substitution over one common denominator: unknown c is nums[c] / den.
+    # Back-substitution over one common denominator: D*t_c is nums[c] / den.
     nums = [0] * num_vars
     den = 1
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
-        acc = row[num_vars] * den - sum(row[c] * nums[c] for c in range(col + 1, num_vars))
-        nums = [v * row[col] for v in nums]
+        acc = row.get(rhs_key, 0) * den - sum(v * nums[c] for c, v in row.items()
+                                              if col < c < num_vars)
+        g = gcd(acc, row[col])
+        acc, lead = acc // g, row[col] // g
+        if lead != 1:
+            nums = [v * lead for v in nums]
+            den *= lead
         nums[col] = acc
-        den *= row[col]
-    solution = [Fraction(v, den) for v in nums]
+    solution = [Fraction(v, den * scale) for v in nums]
+    names = [f"t_{i}" for i in range(1, N + 1)] + ["eta"]
     free = tuple(names[c] for c in range(num_vars) if c not in pivots)
-    profile = ValuationProfile(n, tuple(solution[: 2 * n]), solution[2 * n])
+    profile = ValuationProfile(n, tuple(solution[:N]), solution[N])
     return ProfileSolution("family" if free else "unique", profile, free=free)
 
 

@@ -149,16 +149,13 @@ def parse_one_line(text: str) -> Perm:
     text = text.strip()
     if not text:
         raise ValueError("empty permutation string")
-    if "," in text:
-        parts = text.split(",")
-    else:
-        parts = list(text)
-    images = []
+    parts = [part.strip() for part in (text.split(",") if "," in text else text)]
+    # every position is checked before any is read, as parse_integers does,
+    # so a number past int()'s digit limit is refused only among integers
     for pos, part in enumerate(parts, start=1):
-        part = part.strip()
         if not is_integer(part):
             raise ValueError(f"position {pos}: {part!r} is not a digit")
-        images.append(int(part))
+    images = list(map(int, parts))
     N = len(images)
     seen = set()
     for pos, v in enumerate(images, start=1):

@@ -744,6 +744,25 @@ class TestLongInput:
         assert err == (f"error: malformed permutation: more than "
                        f"{sys.get_int_max_str_digits()} digits\n")
 
+    @pytest.mark.parametrize("code, argv, why", [
+        (1, ["zeta", "--parabolic", f"x,{ONES}"],
+         f"bad composition 'x,{ONES[:cli.QUOTE_CAP - 2]}…': parts must be integers"),
+        (1, ["slopes", "--sigma", "1234", f"--lambda=x,{ONES},1,1", "--slopes", "1=0"],
+         f"bad weight 'x,{ONES[:cli.QUOTE_CAP - 2]}…': integers expected"),
+        (4, [*SLOPES, f"1=x{ONES}"],
+         f"bad slope entry '1=x{ONES[:cli.QUOTE_CAP - 3]}…': "
+         f"Invalid literal for Fraction: 'x{ONES[:cli.QUOTE_CAP - 32]}…"),
+        (4, [*SLOPES, f"{ONES}=x"],
+         f"bad slope entry '{ONES[:cli.QUOTE_CAP]}…': Invalid literal for Fraction: 'x'"),
+        (3, ["info", "--sigma", f"x,{ONES}"],
+         "malformed permutation: position 1: 'x' is not a digit"),
+        (1, ["classify", "--n", f"x{ONES}"],
+         f"argument --n: invalid int value: 'x{ONES[:cli.QUOTE_CAP - 1]}…'"),
+    ])
+    def test_digit_limit_not_named_for_other_parts(self, capsys, code, argv, why):
+        # the refused part is the x, not the number past the digit limit
+        assert run(capsys, *argv) == (code, "", f"error: {why}\n")
+
     def test_zero_denominator_named(self, capsys):
         assert run(capsys, *SLOPES, "1=1/0") == (
             4, "", "error: bad slope entry '1=1/0': zero denominator\n")

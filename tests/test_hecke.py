@@ -548,17 +548,33 @@ class TestSolveProfile:
             assert all(label.startswith(("slope", "purity"))
                        for label, _ in row.combination)
 
+    def test_certificate_skips_dependent_predecessors(self):
+        # [2134]:U_2 and U_3 repeat [1234]'s rows, so both are dependent, and
+        # each is the previous declared row of the next; a certificate names
+        # no dependent row but its own ([2134]:U_3 in the first)
+        systems = [(Perm.identity(4), {1: 11, 2: 0, 3: 11}),
+                   (Perm((2, 1, 3, 4)), {2: 0, 3: 1, 4: 5})]
+        sol = solve_profile_joint(systems, LAM)
+        assert [row.describe() for row in sol.certificate] == [
+            "(-1)*[slope[1234]:U_3] + (1)*[slope[2134]:U_3] = -10 != 0",
+            "(2)*[slope[1234]:U_1] + (-2)*[slope[1234]:U_3] + (1)*[slope[2134]:U_4]"
+            " + (-1)*[purity:1] + (1)*[purity:2] = 5 != 0"]
+
     def test_certificate_combination_is_honest(self):
         # re-add the named combination of input equations; it must reproduce
         # the nonzero residual with a zero coefficient vector
         systems = [(Perm.identity(4), {1: 11, 2: 0, 3: 11}),
                    (Perm((2, 1, 3, 4)), {1: 11, 2: 0, 3: 1})]
         sol = solve_profile_joint(systems, LAM)
-        from spinref.hecke import _slope_rows
         rows = []
         for sigma, slopes in systems:
             tag = f"[{''.join(map(str, sigma.images))}]"
-            rows.extend(_slope_rows(slopes, LAM, sigma, tag))
+            for k, value in slopes.items():
+                coeffs = [Fraction(0)] * 5
+                for j in range(1, k + 1):
+                    coeffs[sigma(j) - 1] += 1
+                rhs = value - sum(LAM.coeffs[:k]) - Fraction(delta_half_exponent(k, 2), 2)
+                rows.append((coeffs, rhs, f"slope{tag}:U_{k}"))
         for i in range(1, 3):
             coeffs = [Fraction(0)] * 5
             coeffs[i - 1] += 1
@@ -700,6 +716,32 @@ class TestSolverMatchesReference:
                     [row.describe() for row in ref.certificate]
                 statuses.add(fast.status)
         assert statuses == {"unique", "family", "inconsistent"}
+
+    @pytest.mark.parametrize("seed, shape, status", [
+        (900, "all", "unique"), (901, "perturbed", "inconsistent"),
+        (903, "joint", "family")])
+    def test_large_rank(self, seed, shape, status):
+        # one system at 2n = 100, where reference_solve takes seconds
+        rng = random.Random(seed)
+        n, N = 50, 100
+        lam = random_pure_weight(rng, n)
+        systems = []
+        for _ in range(rng.randint(2, 3) if shape == "joint" else 1):
+            sigma = Perm(tuple(rng.sample(range(1, N + 1), N)))
+            prof = random_profile(rng, lam)
+            declared = (rng.sample(range(1, N + 1), rng.randint(1, N)) if shape == "joint"
+                        else range(1, N + 1))
+            slopes = {k: slope(Refinement(n, sigma), k, lam, prof) for k in declared}
+            if shape == "perturbed":
+                slopes[rng.randint(1, N)] += Fraction(1, 2)
+            systems.append((sigma, slopes))
+        fast = solve_profile_joint(systems, lam)
+        ref = reference_solve(systems, lam)
+        assert fast.status == ref.status == status
+        assert (fast.profile, fast.free, fast.certificate) == \
+            (ref.profile, ref.free, ref.certificate)
+        assert [row.describe() for row in fast.certificate] == \
+            [row.describe() for row in ref.certificate]
 
 
 class TestNonCriticalSlope:
