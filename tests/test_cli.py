@@ -830,6 +830,115 @@ class TestParserReuse:
         assert proc.returncode == 0 and proc.stdout == "0\n"
 
 
+# argv for TestDispatch: every subcommand, option spellings and usage errors
+# after a subcommand name, and argv that the top-level parser reads.
+DISPATCH_CORPUS = [
+    ["classify", "--n", "2"],
+    ["classify", "--n=2", "--format=csv", "--bound=3"],
+    ["info", "--sigma", "2134"],
+    ["info", "--sigma=2134", "--format=table"],
+    ["slopes", "--sigma", "1234", "--lambda=12,1,-1,-12", "--slopes", "1=11,2=0,3=11",
+     "--parabolic", "2,2", "--solve", "--format", "json"],
+    ["slopes", "--sigma", "2134", "--lambda", "12,1,-1,-12", "--slopes=1=11,2=0,3=1"],
+    ["zeta", "--parabolic", "1,2,1", "--beta=2"],
+    ["zeta", "--parabolic=2,2", "--format", "json"],
+    ["mtau", "--parabolic", "2,2", "--format", "json"],
+    ["mtau", "--parabolic=1,1,1,1", "--n=2", "--bound", "2"],
+    # abbreviated, ambiguous and repeated options
+    ["info", "--sig", "2134"],
+    ["zeta", "--para", "1,2,1", "--form=json"],
+    ["slopes", "--s", "1234"],
+    ["info", "--sigma", "1234", "--sigma", "2134"],
+    ["zeta", "--parabolic", "1,2,1", "--format", "json", "--format", "table"],
+    ["slopes", "--sigma", "1234", "--lambda", "12,1,-1,-12", "--slopes", "1=11,2=0,3=11",
+     "--solve", "--solve"],
+    # -- before, between and after options
+    ["info", "--", "--sigma", "2134"],
+    ["info", "--sigma", "2134", "--"],
+    ["classify", "--n", "2", "--", "extra"],
+    ["zeta", "--parabolic", "1,2,1", "--", "--beta", "2"],
+    # help after the subcommand
+    ["classify", "-h"],
+    ["info", "--he"],
+    ["mtau", "--parabolic", "2,2", "--help"],
+    # usage errors
+    ["info", "--sigma", "2134", "--bogus"],
+    ["zeta", "--bogus=1", "--parabolic", "2,2"],
+    ["classify", "--n", "2", "--format", "xml"],
+    ["info", "--sigma", "2134", "--format", "csv" * 30],
+    ["classify", "--n", "two"],
+    ["classify"],
+    ["mtau", "--n", "2"],
+    ["zeta", "--parabolic", "1,2,1", "extra"],
+    ["classify", "--n", "2", "extra", "more"],
+    ["slopes", "--sigma"],
+    # read by the top-level parser
+    [],
+    ["-h"],
+    ["--help", "info"],
+    ["bogus"],
+    ["inf"],
+    ["--", "info", "--sigma", "2134"],
+    ["--sigma", "2134"],
+]
+
+
+class TestDispatch:
+    """main parses a request that names its subcommand first in one argparse
+    pass, and ends exactly as the top-level parse of the same argv would."""
+
+    @staticmethod
+    def outcome(capsys, monkeypatch, parse, argv):
+        """The namespaces main parsed, its exit code, stdout and stderr, with
+        parse in place of cli._parse."""
+        parsed = []
+
+        def recording(argv):
+            args = parse(argv)
+            parsed.append(dict(vars(args)))
+            return args
+
+        monkeypatch.setattr(cli, "_parse", recording)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return parsed, code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "[]")
+    def test_matches_top_level_parse(self, capsys, monkeypatch, argv):
+        one_pass = self.outcome(capsys, monkeypatch, cli._parse, argv)
+        top_level = self.outcome(capsys, monkeypatch, lambda argv: cli._parser().parse_args(argv),
+                                 argv)
+        assert one_pass == top_level
+
+    @pytest.mark.parametrize("argv, passes", [
+        (["zeta", "--parabolic", "1,2,1"], ["spinref zeta"]),
+        (["zeta", "--bogus"], ["spinref zeta"]),
+        (("info", "--sigma", "2134"), ["spinref info"]),
+        (["inf", "--sigma", "2134"], ["spinref"]),
+        (["--", "zeta", "--parabolic", "1,2,1"], ["spinref"]),
+    ])
+    def test_passes(self, capsys, monkeypatch, argv, passes):
+        # the parsers that scan argv, by prog; the top-level parse of a
+        # request scans it twice
+        seen = []
+        real = cli._ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            seen.append(self.prog)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._ArgumentParser, "parse_known_args", counting)
+        main(argv)
+        capsys.readouterr()
+        assert seen == passes
+        seen.clear()
+        cli._parser().parse_args(["zeta", "--parabolic", "1,2,1"])
+        assert seen == ["spinref", "spinref zeta"]
+
+
 class TestSelfCheckFailure:
     def test_info_switching_check(self, capsys, monkeypatch):
         # the switching step re-tests its result for the repaired spin index
@@ -919,6 +1028,31 @@ class TestEntryPoint:
         assert proc.stderr.startswith("error: n above 10^60 needs over 10^60 bytes for the "
                                       "Levi of its composition, more than the ")
         assert proc.stderr.endswith(" bytes of memory this process may use\n")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["classify", "--n", "4", "--format", "csv"], id="classify"),
+        pytest.param(["mtau", "--parabolic", "1,1,1,1,1,1,1,1", "--format", "json"], id="mtau"),
+    ])
+    def test_reader_closing_early(self, argv):
+        # as `spinref … | head -c 20`: the output (over 300 kB) outgrows the
+        # pipe, so the read end is closed while the writer still writes
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        with subprocess.Popen([sys.executable, "-m", "spinref", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+
+    def test_broken_pipe_of_a_stream_reaches_its_caller(self, monkeypatch):
+        # an in-process stdout with no file behind it gets its own error back
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(BrokenPipeError):
+            main(["zeta", "--parabolic", "1,2,1"])
 
     def test_malformed_permutation(self):
         proc = self.spinref("info", "--sigma", "1135")
