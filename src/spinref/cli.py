@@ -496,22 +496,23 @@ def cmd_mtau(args) -> int:
                        f"raise the bound explicitly", EXIT_BOUND)
     expansion, prenorm = m_tau_expansion(p.n, p)
     # All the text is built before any is printed, so that a MemoryError
-    # (the unreduced text at n = 5) leaves stdout empty.
+    # (the unreduced text at n = 5) leaves stdout empty.  A coefficient's
+    # text lives only until its piece is built, the pieces until they are joined.
     try:
-        rows = sorted(((format_one_line(coset.rep), str(coeff))
-                       for coset, coeff in expansion.items()))
+        rows = sorted(((format_one_line(coset.rep), coeff)
+                       for coset, coeff in expansion.items()), key=lambda row: row[0])
         if args.format == "json":
-            text = json.dumps({
-                "n": p.n,
-                "parabolic": p.label(),
-                "expansion": dict(rows),
-                "prenormalization": str(prenorm),
-            }, ensure_ascii=False)
+            quote = functools.partial(json.dumps, ensure_ascii=False)
+            pieces = [f'{{"n": {p.n}, "parabolic": {quote(p.label())}, "expansion": {{']
+            pieces += (f'{", " if i else ""}{quote(rep)}: {quote(str(coeff))}'
+                       for i, (rep, coeff) in enumerate(rows))
+            pieces.append(f'}}, "prenormalization": {quote(str(prenorm))}}}')
         else:
-            text = "\n".join([
-                f"intertwined eigenvector expansion for n={p.n}, parabolic {p.label()}",
-                *(f"  [{rep}]  {coeff}" for rep, coeff in rows),
-                f"prenormalization factor: {prenorm}"])
+            pieces = [f"intertwined eigenvector expansion for n={p.n}, parabolic {p.label()}\n"]
+            pieces += (f"  [{rep}]  {coeff}\n" for rep, coeff in rows)
+            pieces.append(f"prenormalization factor: {prenorm}")
+        text = "".join(pieces)
+        del pieces
     except MemoryError:
         raise CliError(f"n={p.n}: the text of the {p.label()} expansion does not fit in memory",
                        EXIT_BOUND) from None

@@ -220,6 +220,8 @@ def m_tau_expansion(n: int, p: SpinParabolic
     for letter in word:
         a = n + letter
         cs = c_s(a, twist)
+        # cs - 1 and cs - p^{-1}, each formed on its first use for this letter
+        lengthening = shortening = None
         s_lower = Perm.simple(letter, n)
         next_state: dict[LeviCoset, RatFunc] = {}
         for coset, coeff in state.items():
@@ -229,11 +231,15 @@ def m_tau_expansion(n: int, p: SpinParabolic
                 continue
             moved = LeviCoset(s_lower * coset.rep, delta_k)
             if verdict is Trichotomy.ALL_LONGER:
+                if lengthening is None:
+                    lengthening = cs - one
                 _accumulate(next_state, moved, coeff * p_inv)
-                _accumulate(next_state, coset, coeff * (cs - one))
+                _accumulate(next_state, coset, coeff * lengthening)
             else:
+                if shortening is None:
+                    shortening = cs - p_inv
                 _accumulate(next_state, moved, coeff)
-                _accumulate(next_state, coset, coeff * (cs - p_inv))
+                _accumulate(next_state, coset, coeff * shortening)
         state = next_state
         twist = twist * Perm.simple(a, N)
 
@@ -372,12 +378,9 @@ def zeta_support_verdict(p: SpinParabolic, beta: int) -> SupportVerdict:
     alt = tuple(2 * z1[n - i] - beta * k for i in range(1, n + 1))
     if alt != matrix.exponents:
         raise SelfCheckError("staircase symmetry violated for a spin parabolic")
-    return SupportVerdict(
-        integral=matrix.integral,
-        block_count_parity="even" if k % 2 == 0 else "odd",
-        contained_in_Q=p.contained_in_nn,
-        matrix=matrix,
-    )
+    # by position, in __slots__ order: keywords take Value.__init__ twice as long
+    return SupportVerdict(matrix.integral, "even" if k % 2 == 0 else "odd",
+                          p.contained_in_nn, matrix)
 
 
 def factorisation_membership(delta: Perm, p: SpinParabolic) -> bool:

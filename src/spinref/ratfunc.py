@@ -24,9 +24,14 @@ numerator against the other operand's factors; a quotient adds the
 divisor's primitive numerator as one factor.  Exact division is
 lexicographic.  Factors are never split, so a value is in lowest terms as
 far as its factors are irreducible, as the binomials theta_b - theta_a and
-p*theta_b - theta_a from the intertwining constants are; equality holds at
-once when the reduced pairs agree and is otherwise decided by
-cross-multiplying.
+p*theta_b - theta_a from the intertwining constants are.  The denominator
+stays in these parts: it is multiplied out only where it is read (the text,
+evaluation, and an equality whose operands' parts differ, which is decided
+by cross-multiplying), and an ExponentOverflowError of a denominator
+surfaces there.  A value is +-1 only when its numerator's largest and
+smallest terms are +-scale * x^mono times each factor's leading, or
+trailing, term to its power; only then is the denominator multiplied out
+and compared whole.
 
 The printed text is the quotient that the same computation would have had
 unreduced: stripped of content and common monomials only, with +-1 and 0
@@ -335,17 +340,51 @@ def _times(poly: Poly, factors: Iterable[tuple[Factor, int]]) -> Poly:
     return Poly._packed(nvars, {m: c for m, c in coeffs.items() if c})
 
 
+def _den(nvars: int, scale: int, mono: int, factors: Counter[Factor]) -> Poly:
+    """scale * x^mono * prod factors, multiplied out."""
+    return _times(Poly._packed(nvars, {mono: scale}), factors.items())
+
+
+def _unit(nvars: int, num: dict[int, int], scale: int, mono: int,
+          factors: Counter[Factor]) -> int:
+    """1 or -1 when num is that times scale * x^mono * prod factors, else 0.
+
+    The largest and the smallest term of that product are scale * x^mono
+    times each factor's leading, or trailing, term to its power: the
+    product is multiplied out only when num's two agree with them up to
+    one sign.
+    """
+    high, low = max(num), min(num)
+    sign = 1 if num[high] > 0 else -1
+    lead_m = tail_m = mono
+    lead_c = tail_c = sign * scale
+    for key, k in factors.items():
+        (m, c), (mt, ct) = key[0], key[-1]
+        lead_m += k * m
+        lead_c *= c ** k
+        tail_m += k * mt
+        tail_c *= ct ** k
+    if high != lead_m or low != tail_m or num[high] != lead_c or num[low] != tail_c:
+        return 0
+    den = _den(nvars, scale, mono, factors).coeffs
+    return sign if num == {m: sign * c for m, c in den.items()} else 0
+
+
 class RatFunc:
     """Quotient of integer polynomials over a factored denominator.
 
     num / den is the value with no content and no monomial common to the
-    two, den = scale * x^mono * (product of factors) and scale > 0.  The
-    factors are primitive, free of monomial factors and lead positively;
-    legacy is the multiset of such factors that the unreduced quotient of
-    the same computation had in its denominator, and holds every factor.
+    two, den = scale * x^mono * (product of factors) and scale > 0.  A value
+    holds num, scale, mono and the Counter of factors; den is a property
+    that multiplies them out each time it is read, so an
+    ExponentOverflowError of the denominator surfaces there, not when the
+    value is built.  The factors are primitive, free of monomial factors and
+    lead positively; legacy is the multiset of such factors that the
+    unreduced quotient of the same computation had in its denominator, and
+    holds every factor.
     """
 
-    __slots__ = ("num", "den", "scale", "mono", "factors", "legacy")
+    __slots__ = ("num", "scale", "mono", "factors", "legacy")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
@@ -373,14 +412,13 @@ class RatFunc:
                 num = {m - shift: c // g for m, c in num.items()}
                 scale //= g
                 mono -= shift
-            den = _times(Poly._packed(nvars, {mono: scale}), factors.items())
-            dc = den.coeffs
-            if len(num) != len(dc) or num != dc and num != {m: -c for m, c in dc.items()}:
-                self.num, self.den = Poly._packed(nvars, num), den
+            unit = _unit(nvars, num, scale, mono, factors)
+            if not unit:
+                self.num = Poly._packed(nvars, num)
                 self.scale, self.mono, self.factors, self.legacy = scale, mono, factors, legacy
                 return self
-            num = {0: 1 if num == dc else -1}
-        self.num, self.den = Poly._packed(nvars, num), Poly.const(1, nvars)
+            num = {0: unit}
+        self.num = Poly._packed(nvars, num)
         self.scale, self.mono, self.factors, self.legacy = 1, 0, Counter(), Counter()
         return self
 
@@ -413,6 +451,11 @@ class RatFunc:
     @classmethod
     def theta(cls, i: int, nvars: int) -> "RatFunc":
         return cls.from_poly(Poly.var(i, nvars))
+
+    @property
+    def den(self) -> Poly:
+        """The denominator, multiplied out from its factors on every read."""
+        return _den(self.num.nvars, self.scale, self.mono, self.factors)
 
     # -- arithmetic ---------------------------------------------------------
     @property
@@ -482,7 +525,8 @@ class RatFunc:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if self.num == other.num and self.den == other.den:
+        if self.num == other.num and (self.scale, self.mono, self.factors) == (
+                other.scale, other.mono, other.factors):
             return True
         return self.num * other.den == other.num * self.den
 

@@ -444,3 +444,116 @@ class TestAgainstUnreduced:
             assert (a == b) == (ra == rb)
         for a, ra in pool:
             assert a == a and (a - a).is_zero and str(a - a) == "0"
+
+
+# -- the factored denominator -------------------------------------------------
+
+def unpacked(poly):
+    return {poly._unpack(m): c for m, c in poly.coeffs.items()}
+
+
+class TestFactoredDenominator:
+    """A value keeps scale, x^mono and its factors; den is their product,
+    multiplied out when it is read."""
+
+    NV = 4
+
+    def parts(self):
+        return [RatFunc.var_p(self.NV)] + [RatFunc.theta(i, self.NV) for i in (1, 2, 3)]
+
+    def expansions(self, monkeypatch):
+        """Count the denominators multiplied out from here on."""
+        calls = []
+        den = ratfunc._den
+
+        def counted(*args):
+            calls.append(args)
+            return den(*args)
+        monkeypatch.setattr(ratfunc, "_den", counted)
+        return calls
+
+    def test_ends_agree_but_not_one(self, monkeypatch):
+        _, t1, t2, _ = self.parts()
+        square = (t1 - t2) * (t1 - t2)
+        calls = self.expansions(monkeypatch)
+        value = (t1 * t1 + t2 * t2) / square
+        # leading terms θ_1^2 and trailing terms θ_2^2 agree, so the whole
+        # denominator was multiplied out and compared
+        assert len(calls) == 1
+        assert str(value) == "(θ_1^2 + θ_2^2) / (θ_1^2 - 2*θ_1*θ_2 + θ_2^2)"
+        assert sum(value.factors.values()) == 1 and value != RatFunc.const(1, self.NV)
+
+    def test_ends_disagree_multiply_nothing(self, monkeypatch):
+        _, t1, t2, t3 = self.parts()
+        calls = self.expansions(monkeypatch)
+        values = [t1 / (t1 - t2), (t1 * t1 - t2 * t3) / ((t1 - t2) * (t1 - t3)),
+                  (t1 - t2) / (t1 + t2)]
+        assert not calls
+        assert [str(v) for v in values] == [
+            "(θ_1) / (θ_1 - θ_2)",
+            "(θ_1^2 - θ_2*θ_3) / (θ_1^2 - θ_1*θ_2 - θ_1*θ_3 + θ_2*θ_3)",
+            "(θ_1 - θ_2) / (θ_1 + θ_2)"]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exactly_plus_or_minus_one(self, sign):
+        nv = self.NV
+        t1, t2 = Poly.var(1, nv), Poly.var(2, nv)
+        num = (t1 - t2) * (t1 - t2)
+        value = RatFunc(num if sign > 0 else -num, t1 * t1 - Poly.const(2, nv) * t1 * t2 + t2 * t2)
+        assert str(value) == str(sign)
+        assert value == RatFunc.const(sign, nv)
+        assert not value.factors and not value.legacy
+        assert (value.scale, value.mono, value.den) == (1, 0, Poly.const(1, nv))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_found_over_uncancelled_factors(self, monkeypatch, sign):
+        """t1^2 - t2^2 and t1 - t2 share a divisor that trial division by whole
+        factors does not see: the sum below has num = den, found only by
+        multiplying den out."""
+        _, t1, t2, _ = self.parts()
+        zero = RatFunc.zero(self.NV)
+        first = (zero - t2 * (t1 + t2)) / (t1 * t1 - t2 * t2)
+        second = t1 / (t1 - t2)
+        assert sum(first.factors.values()) == 1
+        calls = self.expansions(monkeypatch)
+        value = first + second if sign > 0 else (zero - second) - first
+        assert len(calls) == 1 and len(calls[0][3]) == 2
+        assert str(value) == str(sign)
+        assert not value.factors and not value.legacy
+
+    def test_overflowing_denominator_raises_when_read(self):
+        _, t1, t2, _ = self.parts()
+        value = RatFunc.const(1, self.NV)
+        for _ in range(130):
+            value = value / (t1 - t2)
+        assert dict(value.factors) == {ratfunc._factor((t1 - t2).num.coeffs): 130}
+        with pytest.raises(ExponentOverflowError):
+            value.den
+        with pytest.raises(ExponentOverflowError):
+            str(value)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_den_is_the_product_of_its_parts(self, seed):
+        """Seeded chains of + - * /: den is readable and equals scale * x^mono
+        * prod factors multiplied out by the reference product, and the value
+        prints as the unreduced reference does."""
+        rng = random.Random(2600 + seed)
+        suite = TestAgainstUnreduced()
+        nv = suite.NV
+        pool = suite.atoms()
+        ops = {"+": add, "-": sub, "*": mul, "/": truediv}
+        for _ in range(60):
+            (x, rx), (y, ry) = rng.choice(pool), rng.choice(pool[-6:] + pool)
+            kind = rng.choice("+-*/")
+            if kind == "/" and y.is_zero:
+                kind = "*"
+            value, ref = ops[kind](x, y), ops[kind](rx, ry)
+            expected = {(0,) * nv: value.scale}
+            expected = ref_mul(expected, {value.num._unpack(value.mono): 1})
+            for key, k in value.factors.items():
+                for _ in range(k):
+                    expected = ref_mul(expected, unpacked(Poly._packed(nv, dict(key))))
+            assert unpacked(value.den) == expected
+            assert str(value) == str(ref)
+            if len(ref.num.coeffs) + len(ref.den.coeffs) <= 400:
+                pool.append((value, ref))
