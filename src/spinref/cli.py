@@ -40,7 +40,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
-from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profile)
+from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profile_joint)
 from .intertwine import m_tau_expansion, zeta_support_verdict
 from .parabolic import (NotSpinError, SelfCheckError, SpinParabolic, format_xp, parse_composition,
                         pure_parabolic_dim)
@@ -416,7 +416,7 @@ def cmd_slopes(args) -> int:
     }
     solution = None
     if args.solve:
-        solution = solve_profile(slopes, lam, r.sigma)
+        solution = solve_profile_joint([(r.sigma, slopes)], lam)
         payload["solve"] = {
             "status": solution.status,
             "t": [str(v) for v in solution.profile.t] if solution.profile else None,

@@ -680,12 +680,6 @@ def solve_profile_joint(systems: Sequence[tuple[Perm, Mapping[int, Fraction | in
     return ProfileSolution("family" if free else "unique", profile, free=free)
 
 
-def solve_profile(slopes: Mapping[int, Fraction | int], lam: PureWeight, sigma: Perm
-                  ) -> ProfileSolution:
-    """Single-refinement form of solve_profile_joint."""
-    return solve_profile_joint([(sigma, slopes)], lam)
-
-
 class MissingSlopeError(ValueError):
     pass
 
@@ -726,47 +720,6 @@ def non_critical_slope(lam: PureWeight, slopes: Mapping[int, Fraction | int],
         value = Fraction(slopes[r])
         rows.append(SlopeBoundRow(r, bound, value, value < bound))
     return NonCriticalAudit(all(row.ok for row in rows), tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Reducibility and regularity loci.
-# ---------------------------------------------------------------------------
-
-class PairFlags(Value):
-    __slots__ = ("reducible", "regular_fail")
-    reducible: bool
-    regular_fail: bool
-
-
-def build_circ_alphas(r: Refinement, lam: PureWeight) -> dict[int, SatakeMonomial]:
-    """All normalized eigenvalue monomials, with the empty-product convention at 0."""
-    return {k: alpha_U_circ(r, k, lam) for k in range(0, 2 * r.n + 1)}
-
-
-def reducibility_regularity_flags(alphas: Mapping[int, SatakeMonomial], lam: PureWeight
-                                  ) -> dict[tuple[int, int], PairFlags]:
-    """Detect the reducibility and regularity-failure relations per ordered pair.
-
-    Reducibility at (r, s) means p^{1+s-r+lambda_s-lambda_r} a°_r a°_{s-1}
-    = a°_s a°_{r-1}; dropping the extra factor of p detects a collision of
-    Satake values instead (failure of regularity).  alphas must be keyed
-    by 0..2n with the empty product 1 at key 0 (see build_circ_alphas).
-    """
-    N = 2 * lam.n
-    out: dict[tuple[int, int], PairFlags] = {}
-    for r in range(1, N + 1):
-        for s in range(1, N + 1):
-            if r == s:
-                continue
-            base = s - r + lam.coeffs[s - 1] - lam.coeffs[r - 1]
-            lhs_core = alphas[r] * alphas[s - 1]
-            rhs = alphas[s] * alphas[r - 1]
-            reducible = (SatakeMonomial.p_half_power(2 * (base + 1), lam.n)
-                         * lhs_core).spin_equal(rhs)
-            regular_fail = (SatakeMonomial.p_half_power(2 * base, lam.n)
-                            * lhs_core).spin_equal(rhs)
-            out[(r, s)] = PairFlags(reducible, regular_fail)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -198,10 +198,6 @@ class SpinParabolic(Value):
     def borel(cls, n: int) -> "SpinParabolic":
         return cls(n, frozenset())
 
-    @classmethod
-    def full_group(cls, n: int) -> "SpinParabolic":
-        return cls(n, frozenset(range(1, 2 * n)))
-
     @property
     def is_borel(self) -> bool:
         return not self.delta
@@ -214,15 +210,6 @@ class SpinParabolic(Value):
     def contained_in_nn(self) -> bool:
         """Whether the parabolic sits inside the (n, n)-parabolic."""
         return self.n not in self.delta
-
-    def intersect(self, other: "SpinParabolic") -> "SpinParabolic":
-        """Parabolic intersection: intersect deltas (X_P's take a union)."""
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return SpinParabolic(self.n, self.delta & other.delta)
-
-    def contains(self, other: "SpinParabolic") -> bool:
-        return self.n == other.n and other.delta <= self.delta
 
     def staircase_cochar(self) -> GLCocharacter:
         """Exponents of the block staircase diag(p^{r-1} I_{m_1}, ..., I_{m_r})."""
@@ -301,54 +288,3 @@ def pure_basis_weights(n: int) -> list[tuple[int, ...]]:
     out.append(tuple([1] * n + [0] * n))
     return out
 
-
-def alpha_basis_decompose(lam: PureWeight, base: PureWeight) -> tuple[tuple[int, ...], bool]:
-    """Coefficients (mu_0, ..., mu_n) of lam - base in the staircase basis.
-
-    The triangular system gives mu_0 = d_{n+1}, mu_n = d_n - d_{n+1} and
-    mu_j = d_j - d_{j+1} for j < n, where d = lam - base.  Returns the
-    coefficient vector and a flag for all mu_i >= 0.  Differences with odd
-    purity gap are rejected: the critical-integer shift divides the gap
-    by two, so only even gaps are admissible downstream.
-    """
-    if lam.n != base.n:
-        raise ValueError("rank mismatch")
-    n = lam.n
-    d = tuple(a - b for a, b in zip(lam.coeffs, base.coeffs))
-    sw_gap = lam.sw - base.sw
-    if sw_gap % 2 != 0:
-        raise ValueError(f"purity weight gap {sw_gap} is odd; not representable here")
-    mu = [0] * (n + 1)
-    mu[0] = d[n]
-    mu[n] = d[n - 1] - d[n]
-    for j in range(1, n):
-        mu[j] = d[j - 1] - d[j]
-    # re-assemble to confirm (the lower half is determined by purity)
-    rebuilt = [0] * (2 * n)
-    for c, vec in zip(mu, pure_basis_weights(n)):
-        for k in range(2 * n):
-            rebuilt[k] += c * vec[k]
-    if tuple(rebuilt) != d:
-        raise ValueError("difference is not in the pure lattice span")
-    return tuple(mu), all(c >= 0 for c in mu)
-
-
-def crit_range(lam: PureWeight) -> range:
-    """Critical integers {j : -lambda_{n+1} >= j >= -lambda_n}, ascending.
-
-    Dominance makes the interval nonempty; it is the singleton {-lambda_n}
-    when the middle entries agree.
-    """
-    if not lam.is_dominant:
-        raise ValueError(f"weight {lam.coeffs} is not dominant")
-    lo = -lam.coeffs[lam.n - 1]
-    hi = -lam.coeffs[lam.n]
-    return range(lo, hi + 1)
-
-
-def critical_shift(j: int, lam: PureWeight, base: PureWeight) -> int:
-    """Shift a critical integer for base to one for lam: j - (sw gap)/2."""
-    sw_gap = lam.sw - base.sw
-    if sw_gap % 2 != 0:
-        raise ValueError(f"purity weight gap {sw_gap} is odd")
-    return j - sw_gap // 2

@@ -441,10 +441,6 @@ class RatFunc:
         return cls(poly, Poly.const(1, poly.nvars))
 
     @classmethod
-    def var_p(cls, nvars: int) -> "RatFunc":
-        return cls.from_poly(Poly.var(0, nvars))
-
-    @classmethod
     def p_inverse(cls, nvars: int) -> "RatFunc":
         return cls(Poly.const(1, nvars), Poly.var(0, nvars))
 

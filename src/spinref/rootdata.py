@@ -8,13 +8,10 @@ spinor-norm direction).  The transfer map sends
     f_0 |--> e_{n+1} + ... + e_{2n},
 
 and its image is exactly the sublattice of pure characters, those with
-lambda_i + lambda_{2n-i+1} independent of i.  The dual transfer on
-cocharacters is defined by adjunction against the dual-basis pairings
-<e_i, e_j*> = <f_i, f_j*> = delta_ij.
+lambda_i + lambda_{2n-i+1} independent of i.
 
 Everything here is an immutable integer vector; the rank n is an explicit
-parameter on every constructor (no global state).  Half-sums of positive
-roots are stored doubled so all lattice arithmetic stays integral.
+parameter on every constructor (no global state).
 """
 
 from __future__ import annotations
@@ -111,37 +108,6 @@ def jmath_char(mu: GSpinCharacter, n: int) -> GLCharacter:
         out[i - 1] += c
         out[2 * n - i] -= c
     return GLCharacter(n, tuple(out))
-
-
-def jmath_vee_cochar(nu: GLCocharacter, n: int) -> GSpinCocharacter:
-    """Dual transfer of cocharacters, defined so the pairings match.
-
-    The f_i*-coefficient is the GL pairing of the transferred basis
-    character f_i against nu, making <mu, jv(nu)> = <j(mu), nu> hold for
-    every GSpin character mu.
-    """
-    _check(nu.n == n, f"cocharacter has rank {nu.n}, expected {n}")
-    coeffs = []
-    for i in range(n + 1):
-        basis = GSpinCharacter(n, tuple(1 if k == i else 0 for k in range(n + 1)))
-        coeffs.append(pairing(jmath_char(basis, n), nu))
-    return GSpinCocharacter(n, tuple(coeffs))
-
-
-def rho_doubled(group: str, n: int) -> GLCharacter | GSpinCharacter:
-    """Doubled half-sum 2*rho of the positive roots, kept integral.
-
-    group is "GL" (type A_{2n-1}, positive roots e_i - e_j for i < j) or
-    "GSpin" (positive roots f_i and f_i +- f_j for i < j).
-    """
-    _check(n >= 1, "rank must be >= 1")
-    if group == "GL":
-        N = 2 * n
-        return GLCharacter(n, tuple(N - 2 * i + 1 for i in range(1, N + 1)))
-    if group == "GSpin":
-        # sum of {f_i} and {f_i +- f_j : i < j} is sum_i (2(n-i)+1) f_i
-        return GSpinCharacter(n, (0,) + tuple(2 * (n - i) + 1 for i in range(1, n + 1)))
-    raise ValueError(f"unknown group {group!r}")
 
 
 def is_pure(lam: GLCharacter) -> int | None:

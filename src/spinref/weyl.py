@@ -26,7 +26,7 @@ from collections.abc import Iterable, Iterator
 from itertools import permutations, product
 
 from ._value import Value, set_field
-from .rootdata import GSpinCharacter, RankMismatchError
+from .rootdata import RankMismatchError
 
 
 class Perm(Value):
@@ -376,23 +376,4 @@ def generate_subgroup(gens: list, identity):
                     new.append(y)
         frontier = new
     return elems
-
-
-# ---------------------------------------------------------------------------
-# Weyl action on the GSpin lattices.
-# ---------------------------------------------------------------------------
-
-def gspin_weyl_act(w: SignedPerm, chi: GSpinCharacter) -> GSpinCharacter:
-    """Right action chi^w on GSpin characters.
-
-    Generator rules: the S_n part permutes f_1, ..., f_n (fixing f_0) and
-    the i-th sign sends f_0 to f_0 + f_i and f_i to -f_i.  So slot i takes
-    c_{w(i)}, or c_0 - c_{-w(i)} when w(i) < 0.  Composition is arranged so
-    that transfer to GL intertwines this with the index action there:
-    j(chi^w) = j(chi)^{embed(w)}.
-    """
-    if w.n != chi.n:
-        raise RankMismatchError(f"rank mismatch: element has n={w.n}, character n={chi.n}")
-    c = chi.coeffs
-    return GSpinCharacter(chi.n, (c[0],) + tuple(c[v] if v > 0 else c[0] - c[-v] for v in w.word))
 

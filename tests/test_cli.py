@@ -269,6 +269,17 @@ class TestSlopes:
         assert payload["solve"]["status"] == "unique"
         assert payload["solve"]["t"] == ["1/2", "-23/2", "23/2", "-1/2"]
 
+    def test_weight_starting_with_minus_needs_equals(self, capsys):
+        # joined with "=", the weight is read; as its own argument, argparse
+        # takes "-1,..." for an option and --lambda is left without a value
+        slopes = ("--slopes", "1=0,2=0,3=0")
+        code, out, _ = run(capsys, "slopes", "--sigma", "1234", "--lambda=-1,-1,-1,-1", *slopes)
+        assert code == 0 and "verdict: non-critical slope" in out
+        code, out, err = run(capsys, "slopes", "--sigma", "1234", "--lambda", "-1,-1,-1,-1",
+                             *slopes)
+        assert code == 1 and out == ""
+        assert "argument --lambda: expected one argument" in err
+
     def test_non_dominant_weight_rejected(self, capsys):
         code, _, err = run(capsys, "slopes", "--sigma", "1234",
                            "--lambda", "0,1,-1,0", "--slopes", "1=0,2=0,3=0")

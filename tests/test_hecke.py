@@ -10,12 +10,11 @@ from spinref.hecke import (CertificateRow, FracHeckeWord, GammaScanAmbiguous,
                            GammaScanNoSolution, GeneratorNotInAlgebraError,
                            HeckeWord, MissingSlopeError, ProfileSolution, SatakeMonomial,
                            ValuationProfile,
-                           alpha_U, alpha_U_circ, build_circ_alphas, char_poly_roots,
+                           alpha_U, alpha_U_circ, char_poly_roots,
                            delta_half_exponent, factors_through_spin, gamma_relation_holds,
                            gamma_uniqueness_scan,
                            jmath_hecke, multiset_divides, non_critical_slope, phi_ij,
-                           phi_tau, reducibility_regularity_flags, slope, solve_profile,
-                           solve_profile_joint, spin_relation_check)
+                           phi_tau, slope, solve_profile_joint, spin_relation_check)
 from spinref.parabolic import SpinParabolic, all_spin_parabolics
 from spinref.refine import GammaMap, Refinement, gamma, is_P_spin, is_r_spin, \
     optimal_parabolic, to_B_spin
@@ -473,7 +472,7 @@ class TestSlope:
                 sigma = Perm(tuple(rng.sample(range(1, 2 * n + 1), 2 * n)))
                 r = Refinement(n, sigma)
                 slopes = {k: slope(r, k, lam, prof) for k in range(1, 2 * n + 1)}
-                sol = solve_profile(slopes, lam, sigma)
+                sol = solve_profile_joint([(sigma, slopes)], lam)
                 assert sol.status == "unique"
                 assert sol.profile.t == prof.t
                 assert sol.profile.eta_val == prof.eta_val
@@ -496,7 +495,7 @@ class TestSlope:
                 r = Refinement(n, sigma)
                 declared = sorted(rng.sample(range(1, 2 * n + 1), n))
                 slopes = {k: slope(r, k, lam, prof) for k in declared}
-                sol = solve_profile(slopes, lam, sigma)
+                sol = solve_profile_joint([(sigma, slopes)], lam)
                 assert sol.status != "inconsistent"
                 for k, v in slopes.items():
                     assert slope(r, k, lam, sol.profile) == v
@@ -506,23 +505,23 @@ class TestSlope:
 
 class TestSolveProfile:
     def test_simple(self):
-        sol = solve_profile({1: Fraction(-3, 2)}, ZERO4, Perm.identity(4))
+        sol = solve_profile_joint([(Perm.identity(4), {1: Fraction(-3, 2)})], ZERO4)
         assert sol.status != "inconsistent" and sol.profile.t[0] == 0
         assert sol.status == "family" and sol.free
 
     def test_gl4_single_systems_are_consistent(self):
-        a = solve_profile({1: 11, 2: 0, 3: 11}, LAM, Perm.identity(4))
+        a = solve_profile_joint([(Perm.identity(4), {1: 11, 2: 0, 3: 11})], LAM)
         assert a.status == "unique"
         assert a.profile.t == (Fraction(1, 2), Fraction(-23, 2),
                                Fraction(23, 2), Fraction(-1, 2))
-        b = solve_profile({1: 11, 2: 0, 3: 1}, LAM, Perm((2, 1, 3, 4)))
+        b = solve_profile_joint([(Perm((2, 1, 3, 4)), {1: 11, 2: 0, 3: 1})], LAM)
         assert b.status == "unique"
 
     @pytest.mark.parametrize("sigma", [Perm((5, 1, 2, 3, 4)), Perm((1, 2, 3))])
     def test_rank_mismatch(self, sigma):
         lam = PureWeight.from_coeffs((3, 1, -1, -3))
         with pytest.raises(ValueError, match="rank mismatch"):
-            solve_profile({1: 1, 2: 0}, lam, sigma)
+            solve_profile_joint([(sigma, {1: 1, 2: 0})], lam)
         with pytest.raises(ValueError, match="rank mismatch"):
             solve_profile_joint([(Perm.identity(4), {1: 1}), (sigma, {1: 1})], lam)
 
@@ -774,35 +773,6 @@ class TestNonCriticalSlope:
             lam = generic_pure_weight(n)
             for r in range(1, n):
                 assert lam.gap(r) == lam.gap(2 * n - r)
-
-
-def subst_theta(m, a, b, half_shift):
-    """m with theta_a replaced by p^{half_shift/2} * theta_b."""
-    e = m.theta[a - 1]
-    th = list(m.theta)
-    th[a - 1] = 0
-    th[b - 1] += e
-    return SatakeMonomial(m.n, m.half_p + e * half_shift, tuple(th), m.eta)
-
-
-class TestReducibilityFlags:
-    def test_generic_all_false(self):
-        alphas = build_circ_alphas(Refinement.identity(2), LAM)
-        flags = reducibility_regularity_flags(alphas, LAM)
-        assert not any(f.reducible or f.regular_fail for f in flags.values())
-
-    def test_constructed_reducible(self):
-        # substitute theta_1 = p * theta_2 into every eigenvalue monomial
-        alphas = {k: subst_theta(m, 1, 2, 2)
-                  for k, m in build_circ_alphas(Refinement.identity(2), LAM).items()}
-        flags = reducibility_regularity_flags(alphas, LAM)
-        assert flags[(1, 2)].reducible or flags[(2, 1)].reducible
-
-    def test_constructed_regular_fail(self):
-        alphas = {k: subst_theta(m, 1, 2, 0)
-                  for k, m in build_circ_alphas(Refinement.identity(2), LAM).items()}
-        flags = reducibility_regularity_flags(alphas, LAM)
-        assert flags[(1, 2)].regular_fail or flags[(2, 1)].regular_fail
 
 
 class TestPhiMaps:

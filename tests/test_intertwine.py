@@ -15,7 +15,7 @@ from spinref.weyl import LeviCoset, Perm, Trichotomy, simple_trichotomy
 class TestRatFunc:
     def test_arithmetic_and_equality(self):
         nv = 3
-        p = RatFunc.var_p(nv)
+        p = RatFunc.from_poly(Poly.var(0, nv))
         t1 = RatFunc.theta(1, nv)
         t2 = RatFunc.theta(2, nv)
         half = t1 / (p * t2)
@@ -41,7 +41,7 @@ class TestRatFunc:
 
     def test_monomial_content_stripped(self):
         nv = 3
-        p = RatFunc.var_p(nv)
+        p = RatFunc.from_poly(Poly.var(0, nv))
         t1 = RatFunc.theta(1, nv)
         t2 = RatFunc.theta(2, nv)
         expr = (p * t1 * t2) / (p * p * t1 * t1)
@@ -49,12 +49,12 @@ class TestRatFunc:
 
     def test_evaluate(self):
         nv = 3
-        expr = (RatFunc.var_p(nv) + RatFunc.theta(1, nv)) / RatFunc.theta(2, nv)
+        expr = (RatFunc.from_poly(Poly.var(0, nv)) + RatFunc.theta(1, nv)) / RatFunc.theta(2, nv)
         assert expr.evaluate(2, [3, 4]) == Fraction(5, 4)
 
     def test_str_deterministic(self):
         nv = 3
-        expr = RatFunc.theta(2, nv) - RatFunc.var_p(nv)
+        expr = RatFunc.theta(2, nv) - RatFunc.from_poly(Poly.var(0, nv))
         assert str(expr) == "-p + θ_2"
 
 

@@ -243,7 +243,8 @@ class TestRatFuncEquality:
     NV = 4
 
     def parts(self):
-        return [RatFunc.var_p(self.NV)] + [RatFunc.theta(i, self.NV) for i in (1, 2, 3)]
+        return [RatFunc.from_poly(Poly.var(0, self.NV))] + \
+            [RatFunc.theta(i, self.NV) for i in (1, 2, 3)]
 
     def test_structural_path_multiplies_nothing(self, monkeypatch):
         p, t1, t2, t3 = self.parts()
@@ -459,7 +460,8 @@ class TestFactoredDenominator:
     NV = 4
 
     def parts(self):
-        return [RatFunc.var_p(self.NV)] + [RatFunc.theta(i, self.NV) for i in (1, 2, 3)]
+        return [RatFunc.from_poly(Poly.var(0, self.NV))] + \
+            [RatFunc.theta(i, self.NV) for i in (1, 2, 3)]
 
     def expansions(self, monkeypatch):
         """Count the denominators multiplied out from here on."""

@@ -1,12 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spinref.rootdata import (GLCharacter, GLCocharacter, GSpinCharacter, GSpinCocharacter,
-                              PureWeight, RankMismatchError, is_pure, jmath_char,
-                              jmath_vee_cochar, pairing, rho_doubled)
+                              PureWeight, RankMismatchError, is_pure, jmath_char, pairing)
 
 
 def gl(coeffs):
@@ -54,35 +51,6 @@ class TestJmathChar:
         assert is_pure(gl((1, 0, 0, 0))) is None
 
 
-class TestJmathVee:
-    def test_e1_star(self):
-        nu = GLCocharacter(2, (1, 0, 0, 0))
-        assert jmath_vee_cochar(nu, 2).coeffs == (0, 1, 0)
-
-    def test_zero(self):
-        assert jmath_vee_cochar(GLCocharacter(2, (0,) * 4), 2).coeffs == (0, 0, 0)
-
-    @settings(max_examples=100)
-    @given(st.integers(1, 3), st.data())
-    def test_adjunction(self, n, data):
-        mu = GSpinCharacter(
-            n, tuple(data.draw(st.integers(-8, 8)) for _ in range(n + 1)))
-        nu = GLCocharacter(
-            n, tuple(data.draw(st.integers(-8, 8)) for _ in range(2 * n)))
-        assert pairing(mu, jmath_vee_cochar(nu, n)) == pairing(jmath_char(mu, n), nu)
-
-    def test_adjunction_all_basis_pairs(self):
-        for n in (1, 2, 3, 4):
-            for i in range(n + 1):
-                mu = GSpinCharacter(n, tuple(
-                    1 if k == i else 0 for k in range(n + 1)))
-                for j in range(2 * n):
-                    nu = GLCocharacter(n, tuple(
-                        1 if k == j else 0 for k in range(2 * n)))
-                    assert pairing(mu, jmath_vee_cochar(nu, n)) == \
-                        pairing(jmath_char(mu, n), nu)
-
-
 class TestLattices:
     def test_pairing_refuses_mismatched_lattices(self):
         for mu, nu in [
@@ -126,30 +94,6 @@ class TestLattices:
                 cls(2, (0,) * wrong)
         with pytest.raises(RankMismatchError, match="rank must be >= 1"):
             cls(0, ())
-
-
-class TestRho:
-    def test_gl_n1(self):
-        assert rho_doubled("GL", 1).coeffs == (1, -1)
-
-    def test_gspin_matches_positive_root_sum(self):
-        # oracle: sum the listed positive roots {f_i} and {f_i +- f_j, i<j}
-        for n in (1, 2, 3, 4):
-            total = [0] * (n + 1)
-            for i in range(1, n + 1):
-                total[i] += 1
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    total[i] += 2  # (f_i + f_j) + (f_i - f_j)
-            assert rho_doubled("GSpin", n).coeffs == tuple(total)
-
-    def test_transfer_identity(self):
-        for n in (1, 2, 3, 4):
-            assert jmath_char(rho_doubled("GSpin", n), n) == rho_doubled("GL", n)
-
-    def test_unknown_group(self):
-        with pytest.raises(ValueError):
-            rho_doubled("Sp", 2)
 
 
 class TestSimpleRootImages:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from spinref._value import Value
-from spinref.hecke import (CertificateRow, HeckeWord, NonCriticalAudit, PairFlags,
+from spinref.hecke import (CertificateRow, HeckeWord, NonCriticalAudit,
                            ProfileSolution, SatakeMonomial, SlopeBoundRow, ValuationProfile)
 from spinref.intertwine import NuBetaMatrix, ParahoricVector, PSVector, SupportVerdict
 from spinref.parabolic import SpinParabolic
@@ -59,7 +59,6 @@ def build():
         "ProfileSolution": ProfileSolution("unique", prof, ("t_1",), (row,)),
         "SlopeBoundRow": bound_row,
         "NonCriticalAudit": NonCriticalAudit(True, (bound_row,)),
-        "PairFlags": PairFlags(True, False),
         "PSVector": PSVector(Perm((1, 2)), {Perm((2, 1)): RatFunc.p_inverse(3)}),
         "ParahoricVector": ParahoricVector(
             Perm((1, 2)), {LeviCoset(Perm((1, 2)), frozenset({1})): RatFunc.const(2, 3)}),
@@ -82,7 +81,7 @@ FIELDS = {
     "CertificateRow": ("combination", "residual"),
     "ProfileSolution": ("status", "profile", "free", "certificate"),
     "SlopeBoundRow": ("index", "bound", "value", "ok"), "NonCriticalAudit": ("ok", "rows"),
-    "PairFlags": ("reducible", "regular_fail"), "PSVector": ("twist", "terms"),
+    "PSVector": ("twist", "terms"),
     "ParahoricVector": ("twist", "cosets"), "NuBetaMatrix": ("n", "exponents"),
     "SupportVerdict": ("integral", "block_count_parity", "contained_in_Q", "matrix"),
 }
@@ -126,7 +125,6 @@ RECORDED = {
                       7579353347706038466),
     "NonCriticalAudit": ("NonCriticalAudit(ok=True, rows=(SlopeBoundRow(index=1, bound=3, "
                          "value=Fraction(5, 2), ok=True),))", -1113567439285097822),
-    "PairFlags": ("PairFlags(reducible=True, regular_fail=False)", -5164621852614943976),
     "PSVector": ("PSVector(twist=Perm(12), terms={Perm(21): RatFunc((1) / (p))})", None),
     "ParahoricVector": ("ParahoricVector(twist=Perm(12), cosets={LeviCoset(rep=Perm(12), "
                         "delta=frozenset({1})): RatFunc(2)})", None),
@@ -190,8 +188,8 @@ def test_copy_and_pickle(name):
 
 # The types that only store their arguments, through Value.__init__; the
 # others check, derive or default a field in their own __init__.
-RECORDS = ("CertificateRow", "SlopeBoundRow", "NonCriticalAudit", "PairFlags", "ParahoricVector",
-           "NuBetaMatrix", "SupportVerdict", "ParahoricRefinement", "GammaMap", "SpinProfile")
+RECORDS = ("CertificateRow", "SlopeBoundRow", "NonCriticalAudit", "ParahoricVector", "NuBetaMatrix",
+           "SupportVerdict", "ParahoricRefinement", "GammaMap", "SpinProfile")
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from spinref.rootdata import GLCharacter, GSpinCharacter, RankMismatchError, jmath_char
+from spinref.rootdata import RankMismatchError
 from spinref.weyl import (LeviCoset, Perm, SignedPerm, Trichotomy, composition_delta,
                           coset_min_rep, embed_wg0, enumerate_signed_perms, format_one_line,
-                          gspin_weyl_act, in_wg0,
+                          in_wg0,
                           parse_one_line, position_blocks, simple_trichotomy)
 
 
@@ -224,44 +224,6 @@ class TestTrichotomy:
                     assert all((simple * m).length() > m.length() for m in members)
 
 
-class TestGSpinAction:
-    def test_sign_rules(self):
-        f0 = GSpinCharacter(2, (1, 0, 0))
-        f1 = GSpinCharacter(2, (0, 1, 0))
-        flip = SignedPerm((-1, 2))
-        assert gspin_weyl_act(flip, f0).coeffs == (1, 1, 0)
-        assert gspin_weyl_act(flip, f1).coeffs == (0, -1, 0)
-        f2 = GSpinCharacter(2, (0, 0, 1))
-        assert gspin_weyl_act(flip, f2).coeffs == (0, 0, 1)
-
-    def test_identity_trivial(self):
-        chi = GSpinCharacter(3, (2, -1, 0, 4))
-        assert gspin_weyl_act(SignedPerm.identity(3), chi) == chi
-
-    def test_equivariance(self):
-        rng = random.Random(11)
-        for n in (1, 2, 3):
-            for s in enumerate_signed_perms(n):
-                sigma = embed_wg0(s, n)
-                for _ in range(3):
-                    mu = GSpinCharacter(n, tuple(rng.randint(-5, 5)
-                                                 for _ in range(n + 1)))
-                    lhs = jmath_char(gspin_weyl_act(s, mu), n)
-                    # the index action of sigma on GL characters
-                    c = jmath_char(mu, n).coeffs
-                    rhs = GLCharacter(n, tuple(c[v - 1] for v in sigma.images))
-                    assert lhs == rhs
-
-    def test_action_composition(self):
-        rng = random.Random(13)
-        elems = list(enumerate_signed_perms(2))
-        for _ in range(100):
-            a, b = rng.choice(elems), rng.choice(elems)
-            chi = GSpinCharacter(2, tuple(rng.randint(-5, 5) for _ in range(3)))
-            assert gspin_weyl_act(b, gspin_weyl_act(a, chi)) == \
-                gspin_weyl_act(a * b, chi)
-
-
 class TestSignedPermGroup:
     def test_inverse(self):
         for s in enumerate_signed_perms(2):
@@ -289,9 +251,3 @@ class TestSignedPermRefusals:
     def test_embedding_refuses_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             embed_wg0(SignedPerm.identity(2), 3)
-
-    def test_actions_refuse_rank_mismatch(self):
-        w = SignedPerm((2, -1))
-        with pytest.raises(RankMismatchError,
-                           match="rank mismatch: element has n=2, character n=3"):
-            gspin_weyl_act(w, GSpinCharacter(3, (0, 1, 2, 3)))
