@@ -44,6 +44,7 @@ from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profil
 from .intertwine import m_tau_expansion, zeta_support_verdict
 from .parabolic import (NotSpinError, SelfCheckError, SpinParabolic, format_xp, parse_composition,
                         pure_parabolic_dim)
+from .ratfunc import printer
 from .refine import (DEFAULT_ENUMERATION_BOUND, EnumerationBoundError, Refinement,
                      gamma, optimal_parabolic, stratum_words, to_B_spin)
 from .rootdata import PureWeight
@@ -496,27 +497,32 @@ def cmd_mtau(args) -> int:
                        f"raise the bound explicitly", EXIT_BOUND)
     expansion, prenorm = m_tau_expansion(p.n, p)
     # All the text is built before any is printed, so that a MemoryError
-    # (the unreduced text at n = 5) leaves stdout empty.  A coefficient's
+    # (the unreduced text at n = 5) leaves stdout empty.  One printer, and
+    # so one pair of half tables, serves every coefficient.  A coefficient's
     # text lives only until its piece is built, the pieces until they are joined.
     try:
+        text = printer(2 * p.n + 1)
         rows = sorted(((format_one_line(coset.rep), coeff)
                        for coset, coeff in expansion.items()), key=lambda row: row[0])
         if args.format == "json":
+            # A coefficient's text holds digits, p, θ, _ ^ * + - ( ) / and
+            # spaces only, none of which JSON escapes, so it is quoted as it is.
             quote = functools.partial(json.dumps, ensure_ascii=False)
             pieces = [f'{{"n": {p.n}, "parabolic": {quote(p.label())}, "expansion": {{']
-            pieces += (f'{", " if i else ""}{quote(rep)}: {quote(str(coeff))}'
+            pieces += (f'{", " if i else ""}{quote(rep)}: "{text(coeff)}"'
                        for i, (rep, coeff) in enumerate(rows))
-            pieces.append(f'}}, "prenormalization": {quote(str(prenorm))}}}')
+            pieces.append(f'}}, "prenormalization": "{text(prenorm)}"}}')
         else:
             pieces = [f"intertwined eigenvector expansion for n={p.n}, parabolic {p.label()}\n"]
-            pieces += (f"  [{rep}]  {coeff}\n" for rep, coeff in rows)
-            pieces.append(f"prenormalization factor: {prenorm}")
-        text = "".join(pieces)
+            pieces += (f"  [{rep}]  {text(coeff)}\n" for rep, coeff in rows)
+            pieces.append(f"prenormalization factor: {text(prenorm)}")
+        del text  # the half tables need not outlive the pieces while they are joined
+        out = "".join(pieces)
         del pieces
     except MemoryError:
         raise CliError(f"n={p.n}: the text of the {p.label()} expansion does not fit in memory",
                        EXIT_BOUND) from None
-    print(text)
+    print(out)
     return 0
 
 

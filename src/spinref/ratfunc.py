@@ -10,10 +10,13 @@ tested: with every exponent below 2**(FIELD_BITS - 1) no sum can carry into
 the next field, and otherwise ExponentOverflowError is raised.  Every
 product runs one loop, _times, and every sum or difference one signed
 merge, Poly._merge.  Keys are unpacked only for printing, evaluation and
-``leading``.  A polynomial's text splits each key into its high fields
-and its low nvars // 2 fields and builds the text of each distinct half
-once, every variable led by "*", so a term's text is a coefficient and
-two table lookups; only a +-1 coefficient drops the leading "*".
+``leading``.  Text is written by a printer, which splits each key into
+its high fields and its low nvars // 2 fields and looks each half up in a
+table that builds a half's text, every variable led by "*", on its first
+lookup, so a term's text is a coefficient and two table lookups; only a
++-1 coefficient drops the leading "*".  str() prints through a fresh
+printer; printer(nvars) keeps one for many values, as mtau does for every
+coefficient of an expansion.
 
 A rational function is held in lowest terms as num / (scale * x^mono *
 product of factors): scale > 0, and the factors are primitive polynomials
@@ -46,11 +49,12 @@ that the reduction cancelled.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import getitem, or_
+from operator import or_
 
 # Bits per exponent field of a packed monomial: one byte, so that
 # int.to_bytes unpacks a monomial into its exponents.
@@ -174,21 +178,51 @@ class Poly:
         return total
 
     def __str__(self) -> str:
-        coeffs = self.coeffs
+        return _Printer(self.nvars).poly(self)
+
+
+class _HalfTexts(dict):
+    """The text of each packed half-monomial, built on its first lookup:
+    every variable of nonzero exponent led by "*", the empty half ""."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: list[str]):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, half: int) -> str:
+        names = self.names
+        text = self[half] = "".join(
+            (f"*{name}^{e}" if e > 1 else f"*{name}")
+            for name, e in zip(names, half.to_bytes(len(names), "big")) if e)
+        return text
+
+
+class _Printer:
+    """Text of polynomials and rational functions in nvars variables.
+
+    A monomial's text is that of its high nvars - nvars // 2 fields and then
+    that of its low nvars // 2 fields, each looked up in one table per half
+    that fills in as the printer meets new halves, so every value printed
+    through one printer shares them.
+    """
+
+    __slots__ = ("shift", "mask", "high", "low")
+
+    def __init__(self, nvars: int):
+        names = ["p"] + [f"θ_{i}" for i in range(1, nvars)]
+        cut = nvars - nvars // 2
+        self.shift = FIELD_BITS * (nvars - cut)
+        self.mask = (1 << self.shift) - 1
+        self.high = _HalfTexts(names[:cut])
+        self.low = _HalfTexts(names[cut:])
+
+    def poly(self, poly: Poly) -> str:
+        coeffs = poly.coeffs
         if not coeffs:
             return "0"
-        nvars = self.nvars
-        largest = max(reduce(or_, coeffs).to_bytes(nvars, "big"))
-        # factors[v][e]: "*" and then the text of variable v to the power e
-        factors = [["", f"*{name}"] + [f"*{name}^{e}" for e in range(2, largest + 1)]
-                   for name in ["p"] + [f"θ_{i}" for i in range(1, nvars)]]
-        # A monomial's text is that of its high fields and then that of its
-        # low nvars // 2 fields, each built once per distinct half.
-        cut = nvars - nvars // 2
-        shift = FIELD_BITS * (nvars - cut)
-        mask = (1 << shift) - 1
-        high = _half_texts({mono >> shift for mono in coeffs}, factors[:cut])
-        low = _half_texts({mono & mask for mono in coeffs}, factors[cut:])
+        shift, mask, high, low = self.shift, self.mask, self.high, self.low
         parts = []
         for mono in sorted(coeffs, reverse=True):
             c = coeffs[mono]
@@ -200,15 +234,20 @@ class Poly:
                 # +-1 drops the body's leading "*", or prints alone without a body
                 body = high[mono >> shift] + low[mono & mask]
                 parts.append(("+ " if c > 0 else "- ") + (body[1:] if body else "1"))
-        del high, low  # the tables need not outlive the terms while the text is joined
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
+    def ratfunc(self, value: "RatFunc") -> str:
+        num, den = value.printed_pair()
+        if den.coeffs == {0: 1}:
+            return self.poly(num)
+        return f"({self.poly(num)}) / ({self.poly(den)})"
 
-def _half_texts(halves: set[int], factors: list[list[str]]) -> dict[int, str]:
-    """The text of each packed half-monomial, one factors[v] table per field."""
-    width = len(factors)
-    return {half: "".join(map(getitem, factors, half.to_bytes(width, "big"))) for half in halves}
+
+def printer(nvars: int) -> Callable[["RatFunc"], str]:
+    """The text of a RatFunc in nvars variables, str() of it, from one pair of
+    half tables for every value it prints."""
+    return _Printer(nvars).ratfunc
 
 
 def _common_monomial(nvars: int, monos: list[int]) -> int:
@@ -266,7 +305,11 @@ def _exact_quotient(nvars: int, f: dict[int, int], g: dict[int, int]) -> dict[in
     needs exponents below 2**(FIELD_BITS - 1), which every term of an exact
     quotient's remainders has, so a remainder term past it also gives None.
     Most trial divisions fail, and most of those already at the first or
-    the last term of f, which are the quotient's times g's.
+    the last term of f, which are the quotient's times g's.  The largest
+    remainder term comes from a heap of negated monomials (after Monagan and
+    Pearce, CASC 2007), each pushed once, when it first enters the
+    remainder; a term that cancels stays in the remainder as 0 until it is
+    popped and skipped, so one that comes back is not pushed again.
     """
     if not f:
         return {}
@@ -280,21 +323,26 @@ def _exact_quotient(nvars: int, f: dict[int, int], g: dict[int, int]) -> dict[in
     lc = g[lead]
     rest = [(m, -c) for m, c in g.items() if m != lead]
     rem = dict(f)
+    heap = [-m for m in rem]
+    heapify(heap)
     quot = {}
-    while rem:
-        m = max(rem)
+    while heap:
+        m = -heappop(heap)
         c = rem.pop(m)
+        if not c:
+            continue  # the term cancelled after it was pushed
         if m & top or ~((m | top) - lead) & top or c % lc:
             return None
         t = m - lead
         q = quot[t] = c // lc
         for mg, cg in rest:
             mm = t + mg
-            c = rem.get(mm, 0) + q * cg
-            if c:
-                rem[mm] = c
+            c = rem.get(mm)
+            if c is None:
+                rem[mm] = q * cg
+                heappush(heap, -mm)
             else:
-                del rem[mm]
+                rem[mm] = c + q * cg
     return quot
 
 
@@ -547,10 +595,7 @@ class RatFunc:
         return self.num * spare, self.den * spare
 
     def __str__(self) -> str:
-        num, den = self.printed_pair()
-        if den.coeffs == {0: 1}:
-            return str(num)
-        return f"({num}) / ({den})"
+        return _Printer(self.num.nvars).ratfunc(self)
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"

@@ -454,6 +454,25 @@ class TestMTau:
             "b669be2a0534f50f4efb5793655084ed10c99c9f695698bc4cdc90fececf1616",
     }
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_json_coefficients_need_no_escaping(self, capsys, n):
+        # The coefficients are quoted without json.dumps: each must read back
+        # as its own text, and hold nothing that JSON would have escaped.
+        for p in all_spin_parabolics(n):
+            if not p.contained_in_nn:
+                continue
+            comp = ",".join(map(str, p.composition))
+            code, out, _ = run(capsys, "mtau", "--parabolic", comp, "--format", "json")
+            assert code == 0
+            payload = json.loads(out)
+            expansion, prenorm = intertwine.m_tau_expansion(n, p)
+            want = {format_one_line(coset.rep): str(coeff) for coset, coeff in expansion.items()}
+            assert payload["expansion"] == want, comp
+            assert payload["prenormalization"] == str(prenorm), comp
+            for text in [*want.values(), str(prenorm)]:
+                assert '"' not in text and "\\" not in text
+                assert min(text) >= " ", comp  # no control character
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_memory_error_while_formatting(self, capsys, monkeypatch, fmt):
         # the unreduced text of an n = 5 expansion can exceed the memory

@@ -179,6 +179,45 @@ class TestStrAgainstReference:
         assert str(Poly(nvars, {})) == ref_str({}, nvars) == "0"
         assert str(Poly.const(-1, nvars)) == "-1" and str(Poly.const(1, nvars)) == "1"
 
+    @pytest.mark.parametrize("nvars", [1, 2, 5, 9])
+    def test_one_printer_many_values(self, nvars):
+        # A printer's half tables fill in as it prints: a text must not depend
+        # on what the same printer printed before it.
+        rng = random.Random(950 + nvars)
+        exps = [0, 1, 2, 127, 255]
+        cut = nvars - nvars // 2
+        high = [tuple(rng.choice(exps) for _ in range(cut)) for _ in range(4)]
+        low = [tuple(rng.choice(exps) for _ in range(nvars - cut)) for _ in range(4)]
+        one = (0,) * nvars
+        terms = [{}, {one: 1}, {one: -1}, {one: 7}, {one: -(10**30)}]
+        for _ in range(12):
+            shared = {rng.choice(high) + rng.choice(low): rng.choice(self.COEFFS)
+                      for _ in range(rng.randint(1, 8))}
+            disjoint = {tuple(rng.randint(0, 255) for _ in range(nvars)): rng.choice(self.COEFFS)
+                        for _ in range(rng.randint(1, 8))}
+            terms += [shared, disjoint]
+        if nvars == 2:
+            terms.append({(255, 0): -1, (1, 255): 10**30, (0, 1): 1, (0, 0): -1})
+        values = [(ref_str(a, nvars), Poly(nvars, a)) for a in terms]
+        for _ in range(8):
+            num, den = (Poly(nvars, random_poly(rng, nvars, rng.randint(1, 5), 3))
+                        for _ in range(2))
+            if not den.is_zero:
+                values.append((None, RatFunc(num, den)))
+        for order in (values, values[::-1]):
+            fresh = ratfunc._Printer(nvars)
+            text = ratfunc.printer(nvars)
+            for want, value in order:
+                if isinstance(value, Poly):
+                    assert fresh.poly(value) == want == str(value)
+                    value = RatFunc.from_poly(value)
+                else:
+                    num, den = ({part._unpack(m): c for m, c in part.coeffs.items()}
+                                for part in value.printed_pair())
+                    want = ref_str(num, nvars) if den == {one: 1} else \
+                        f"({ref_str(num, nvars)}) / ({ref_str(den, nvars)})"
+                assert text(value) == want == str(value)
+
     def test_known_text(self):
         poly = Poly(2, {(255, 0): -1, (1, 255): 10**30, (0, 1): 1, (0, 0): -1})
         assert str(poly) == f"-p^255 + {10**30}*p*θ_1^255 + θ_1 - 1"
@@ -330,6 +369,59 @@ class TestExactDivision:
             if g.coeffs != {0: 1}:
                 h = f * g + Poly.const(1, nvars)
                 assert ratfunc._exact_quotient(nvars, h.coeffs, g.coeffs) is None
+
+    @staticmethod
+    def max_reference(nvars, f, g):
+        """Lexicographic division taking max(rem) each step: the quotient or
+        None, and whether a remainder term cancelled and later came back."""
+        lead = max(g)
+        rem, quot, gone, returned = dict(f), {}, set(), False
+        while rem:
+            m = max(rem)
+            c = rem.pop(m)
+            fields = zip(m.to_bytes(nvars, "big"), lead.to_bytes(nvars, "big"))
+            if any(e < el for e, el in fields) or c % g[lead]:
+                return None, returned
+            t = m - lead
+            q = quot[t] = c // g[lead]
+            for mg, cg in g.items():
+                if mg != lead:
+                    mm = t + mg
+                    returned |= mm in gone and mm not in rem
+                    c = rem.get(mm, 0) - q * cg
+                    if c:
+                        rem[mm] = c
+                    else:
+                        del rem[mm]
+                        gone.add(mm)
+        return quot, returned
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_heap_matches_max_reference(self, seed):
+        # Seeded products f * g and the same with one term changed, drawn
+        # until quotients and refusals have each been seen, with and without
+        # a remainder term that cancelled and came back, a few times.
+        rng = random.Random(310 + seed)
+        outcomes = Counter()
+        for _ in range(4000):
+            if len(outcomes) == 4 and min(outcomes.values()) >= 5:
+                break
+            nvars = rng.randint(1, 3)
+            f = Poly(nvars, random_poly(rng, nvars, rng.randint(1, 12), 2))
+            g = Poly(nvars, random_poly(rng, nvars, rng.randint(1, 6), 2))
+            if f.is_zero or g.is_zero:
+                continue
+            g = ratfunc._primitive(nvars, g.coeffs)[2]
+            h = (f * Poly._packed(nvars, g)).coeffs
+            changed = dict(h)
+            mono = rng.choice([*h, *(m + 1 for m in h)])
+            changed[mono] = changed.get(mono, 0) + rng.choice([-2, -1, 1, 3])
+            changed = {m: c for m, c in changed.items() if c}
+            for dividend in (h, changed):
+                want, returned = self.max_reference(nvars, dividend, g)
+                assert ratfunc._exact_quotient(nvars, dividend, g) == want
+                outcomes[want is None, returned] += 1
+        assert len(outcomes) == 4 and min(outcomes.values()) >= 5, outcomes
 
 
 # -- reference: the unreduced quotient ----------------------------------------
