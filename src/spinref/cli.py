@@ -597,30 +597,106 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_table(command: argparse.ArgumentParser):
+    """What _read needs of a subcommand's parser, taken from its own actions.
+
+    Its store (one value) and store_true actions by option string, the
+    namespace its parse starts from (the actions' defaults, then the
+    parser's own), and its required actions.  None when an action has a
+    string default and a type=, which argparse converts when it is unset.
+    """
+    options, start = {}, {}
+    for action in command._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            if isinstance(action.default, str) and action.type is not None:
+                return None
+            start[action.dest] = action.default
+        if (type(action) is argparse._StoreAction and action.nargs is None
+                or type(action) is argparse._StoreTrueAction):
+            options.update(dict.fromkeys(action.option_strings, action))
+    for dest, value in command._defaults.items():
+        start.setdefault(dest, value)
+    return options, start, {action for action in command._actions if action.required}
+
+
+def _read(table, tokens: Sequence[str]) -> argparse.Namespace | None:
+    """tokens read by a subcommand's option table (_option_table), or None.
+
+    None, so that argparse reads them, when a token is not exactly one of
+    the table's option strings (-h, an abbreviation, --, a stray word),
+    when a store_true option is given a value, when a separate value is
+    missing or starts with "-" (argparse's negative-number and option
+    rules), when a type= conversion fails or a value is no choice, and
+    when a required option is unset.  --opt=value splits at the first "=".
+    """
+    if table is None:
+        return None
+    options, start, required = table
+    values, seen = dict(start), set()
+    i, end = 0, len(tokens)
+    while i < end:
+        token = tokens[i]
+        i += 1
+        action = options.get(token)
+        if action is None:
+            option, equals, text = token.partition("=")
+            action = options.get(option) if equals else None
+            if action is None or action.nargs is not None:
+                return None
+        elif action.nargs is None:
+            if i == end or tokens[i].startswith("-"):
+                return None
+            text = tokens[i]
+            i += 1
+        else:  # store_true
+            values[action.dest] = action.const
+            seen.add(action)
+            continue
+        if action.type is not None:
+            try:
+                text = action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and text not in action.choices:
+            return None
+        values[action.dest] = text
+        seen.add(action)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser of build_parser, built on the first call and reused.
+    """The parser of build_parser, built on the first call and reused, with
+    each subcommand's option table for _read (parser.tables).
 
-    Building it costs about 0.7 ms, some 30 times the parse of one
-    request, which takes one argparse pass (_parse); parse_args keeps no
-    state between calls.
+    Building it costs about 0.7 ms, some 30 times the argparse pass of one
+    request; parse_args keeps no state between calls.
     """
-    return build_parser()
+    parser = build_parser()
+    parser.tables = {name: _option_table(command) for name, command in parser.commands.items()}
+    return parser
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """argv parsed as _parser().parse_args parses it, in one argparse pass.
+    """argv parsed as _parser().parse_args parses it.
 
     The top-level parser hands the whole of argv on to the subcommand's
-    parser, which scans it again.  When argv[0] names a subcommand, its
-    parser alone reads the rest.  Anything else (no argv, -h, an unknown
-    or abbreviated command, a leading --) goes through the top level.
+    parser, which scans it again.  When argv[0] names a subcommand, the
+    rest is read from that subcommand's option table (_read), with no
+    argparse pass; what _read declines (help, usage errors, abbreviations,
+    --, a separate value that starts with "-") takes one pass of the
+    subcommand's parser.  Anything else (no argv, -h, an unknown or
+    abbreviated command, a leading --) goes through the top level.
     """
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args = command.parse_args(argv[1:])
+    args = _read(parser.tables[argv[0]], argv[1:])
+    if args is None:
+        args = command.parse_args(argv[1:])
     args.command = argv[0]
     return args
 

@@ -354,6 +354,7 @@ class HeckeWord(Value):
         return out
 
 
+# HeckeWord's name before the word types merged; tests/test_acceptance.py imports it.
 FracHeckeWord = HeckeWord
 
 

@@ -294,6 +294,13 @@ def _primitive(nvars: int, coeffs: dict[int, int]) -> tuple[int, int, dict[int, 
     return c, m, {mono - m: v // c for mono, v in coeffs.items()}
 
 
+# _exact_quotient finds its first this many quotient terms by max() scans
+# before it builds its heap.  In the oracles of the eight spin parabolics
+# inside (4,4), every trial division that passes the first/last-term checks
+# and then fails does so at its second or third term.
+_SCAN_STEPS = 3
+
+
 def _exact_quotient(nvars: int, f: dict[int, int], g: dict[int, int]) -> dict[int, int] | None:
     """f / g when the primitive polynomial g divides f; None when it does not.
 
@@ -306,10 +313,13 @@ def _exact_quotient(nvars: int, f: dict[int, int], g: dict[int, int]) -> dict[in
     quotient's remainders has, so a remainder term past it also gives None.
     Most trial divisions fail, and most of those already at the first or
     the last term of f, which are the quotient's times g's.  The largest
-    remainder term comes from a heap of negated monomials (after Monagan and
-    Pearce, CASC 2007), each pushed once, when it first enters the
-    remainder; a term that cancels stays in the remainder as 0 until it is
-    popped and skipped, so one that comes back is not pushed again.
+    remainder term is found by max() for the first _SCAN_STEPS quotient
+    terms, where most of the other failures happen, and after them comes
+    from a heap of negated monomials (after Monagan and Pearce, CASC 2007),
+    which costs a few max() scans to build.  A term that enters the
+    remainder after that is pushed once; a term that cancels stays in the
+    remainder as 0 until it is taken and skipped, so one that comes back is
+    not pushed again.
     """
     if not f:
         return {}
@@ -322,15 +332,15 @@ def _exact_quotient(nvars: int, f: dict[int, int], g: dict[int, int]) -> dict[in
     lead = max(g)
     lc = g[lead]
     rest = [(m, -c) for m, c in g.items() if m != lead]
-    rem = dict(f)
-    heap = [-m for m in rem]
-    heapify(heap)
-    quot = {}
-    while heap:
-        m = -heappop(heap)
+    rem, quot, heap = dict(f), {}, None
+    while rem:
+        if heap is None and len(quot) == _SCAN_STEPS:
+            heap = [-m for m in rem]
+            heapify(heap)
+        m = max(rem) if heap is None else -heappop(heap)
         c = rem.pop(m)
         if not c:
-            continue  # the term cancelled after it was pushed
+            continue  # the term cancelled after it entered the remainder
         if m & top or ~((m | top) - lead) & top or c % lc:
             return None
         t = m - lead
@@ -340,7 +350,8 @@ def _exact_quotient(nvars: int, f: dict[int, int], g: dict[int, int]) -> dict[in
             c = rem.get(mm)
             if c is None:
                 rem[mm] = q * cg
-                heappush(heap, -mm)
+                if heap is not None:
+                    heappush(heap, -mm)
             else:
                 rem[mm] = c + q * cg
     return quot

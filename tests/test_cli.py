@@ -913,9 +913,100 @@ DISPATCH_CORPUS = [
 ]
 
 
+def _items(tokens):
+    """Request tokens grouped by option: an option with its separate value,
+    an --opt=value or a flag."""
+    items, i = [], 0
+    while i < len(tokens):
+        take = 1 if "=" in tokens[i] or tokens[i] == "--solve" else 2
+        items.append(tokens[i:i + take])
+        i += take
+    return items
+
+
+def _reader_requests():
+    """Seeded valid requests of every subcommand at n = 2..5, as (command,
+    option items).  classify and mtau stay below their bounds' work: every
+    classify has a --bound that refuses n >= 4, every mtau at n = 5 its
+    default bound."""
+    rng = random.Random(2029)
+    requests = []
+    for n in range(2, 6):
+        for kind in ("info", "slopes", "zeta"):
+            for fmt in ("table", "json"):
+                argv = rng.choice(query_requests(kind, n, fmt))
+                requests.append((argv[0], _items(argv[1:])))
+        inside = [p for p in all_spin_parabolics(n) if p.contained_in_nn]
+        for fmt in ("table", "json"):
+            comp = ",".join(map(str, rng.choice(inside).composition))
+            items = [["--parabolic", comp], ["--format", fmt]]
+            if rng.random() < 0.5:
+                items.append([f"--n={n}"])
+            requests.append(("mtau", items))
+            requests.append(("classify", [["--n", str(n)], ["--bound", str(min(n, 3))],
+                                          ["--format", rng.choice(("table", "json", "csv"))]]))
+    return requests
+
+
+def _spelled(item, equals):
+    """An option item in the --opt=value form (equals) or the separate one."""
+    if item == ["--solve"]:
+        return item
+    option, value = item if len(item) == 2 else item[0].split("=", 1)
+    return [f"{option}={value}"] if equals else [option, value]
+
+
+def _mutations(rng, command, items, others):
+    """Irregular and invalid variants of one request: its required option
+    dropped, an option repeated, the other spelling of every option, an
+    abbreviation, -h, --help and -- at a random position, a negative, an
+    empty and a bad value, and --solve=1."""
+    def argv(items):
+        return [command, *(token for item in items for token in item)]
+
+    out = [argv(items[1:])]  # the first option is the required one
+    at = rng.randrange(len(items) + 1)
+    out.append(argv(items[:at] + [rng.choice(rng.choice(others))] + items[at:]))
+    out.append(argv([_spelled(item, len(item) == 2) for item in items]))
+    option = _spelled(items[0], False)
+    out.append(argv([[option[0][:-2], *option[1:]], *items[1:]]))
+    for token in ("-h", "--help", "--"):
+        tokens = argv(items)
+        tokens.insert(rng.randrange(1, len(tokens) + 1), token)
+        out.append(tokens)
+    options = [_spelled(item, False)[0] for item in items]
+    checked = {"classify": ["--format", "--n", "--bound"], "mtau": ["--format", "--n", "--bound"],
+               "zeta": ["--format", "--beta"]}.get(command, ["--format"])
+    for value, equals in (("-1", False), ("-" + rng.choice("2345x"), True), ("", False),
+                          ("", True), ("xml", False), ("2x", True)):
+        if value in ("xml", "2x"):  # a bad choice or integer, in place or added
+            option = rng.choice(checked)
+        else:
+            option = rng.choice([option for option in options if option != "--solve"])
+        i = options.index(option) if option in options else len(items)
+        out.append(argv(items[:i] + [_spelled([option, value], equals)] + items[i + 1:]))
+    out.append(argv(items + [["--solve=1"]]))
+    return out
+
+
+def reader_corpus():
+    """DISPATCH_CORPUS, the seeded requests of _reader_requests and their
+    _mutations."""
+    rng = random.Random(29)
+    requests = _reader_requests()
+    corpus = [list(argv) for argv in DISPATCH_CORPUS]
+    for command, items in requests:
+        others = [other for name, other in requests if name == command]
+        corpus += [[command, *(token for item in items for token in item)],
+                   *_mutations(rng, command, items, others)]
+    return corpus
+
+
 class TestDispatch:
-    """main parses a request that names its subcommand first in one argparse
-    pass, and ends exactly as the top-level parse of the same argv would."""
+    """main reads a request that names its subcommand first from that
+    subcommand's option table (cli._read), or in one argparse pass of its
+    parser when _read declines it, and ends exactly as the top-level parse
+    of the same argv would."""
 
     @staticmethod
     def outcome(capsys, monkeypatch, parse, argv):
@@ -936,23 +1027,40 @@ class TestDispatch:
         captured = capsys.readouterr()
         return parsed, code, captured.out, captured.err
 
-    @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "[]")
+    @staticmethod
+    def argparse_vars(command, tokens):
+        """vars of command's parse of tokens; None when it refuses them or
+        exits (help)."""
+        try:
+            return vars(command.parse_args(tokens))
+        except (cli.CliError, SystemExit):
+            return None
+
+    @pytest.mark.parametrize("argv", reader_corpus(), ids=lambda argv: " ".join(argv) or "[]")
     def test_matches_top_level_parse(self, capsys, monkeypatch, argv):
+        # _read declines argv or reads it as the subcommand's parser does
+        parser = cli._parser()
+        if argv and argv[0] in parser.commands:
+            read = cli._read(parser.tables[argv[0]], argv[1:])
+            want = self.argparse_vars(parser.commands[argv[0]], argv[1:])
+            capsys.readouterr()
+            assert read is None or vars(read) == want
         one_pass = self.outcome(capsys, monkeypatch, cli._parse, argv)
         top_level = self.outcome(capsys, monkeypatch, lambda argv: cli._parser().parse_args(argv),
                                  argv)
         assert one_pass == top_level
 
     @pytest.mark.parametrize("argv, passes", [
-        (["zeta", "--parabolic", "1,2,1"], ["spinref zeta"]),
+        (["zeta", "--parabolic", "1,2,1"], []),
         (["zeta", "--bogus"], ["spinref zeta"]),
-        (("info", "--sigma", "2134"), ["spinref info"]),
+        (("info", "--sigma", "2134"), []),
         (["inf", "--sigma", "2134"], ["spinref"]),
         (["--", "zeta", "--parabolic", "1,2,1"], ["spinref"]),
     ])
     def test_passes(self, capsys, monkeypatch, argv, passes):
-        # the parsers that scan argv, by prog; the top-level parse of a
-        # request scans it twice
+        # the parsers that scan argv, by prog: a regular request is read
+        # from its option table (cli._read) in none; the top-level parse of
+        # a request scans it twice
         seen = []
         real = cli._ArgumentParser.parse_known_args
 
@@ -967,6 +1075,24 @@ class TestDispatch:
         seen.clear()
         cli._parser().parse_args(["zeta", "--parabolic", "1,2,1"])
         assert seen == ["spinref", "spinref zeta"]
+
+    def test_reads_every_regular_request(self):
+        # every generated request, in both spellings, is read without argparse
+        parser = cli._parser()
+        for command, items in _reader_requests():
+            for equals in (False, True):
+                tokens = [token for item in items for token in _spelled(item, equals)]
+                if not equals and any(t.startswith("-") for t in tokens[1::2]):
+                    continue  # a separate value starting with "-" is argparse's
+                read = cli._read(parser.tables[command], tokens)
+                assert read is not None, tokens
+                assert vars(read) == vars(parser.commands[command].parse_args(tokens))
+
+    def test_string_default_with_type_declines(self):
+        command = cli._ArgumentParser()
+        command.add_argument("--beta", type=int, default="1")
+        assert cli._option_table(command) is None
+        assert cli._read(None, ["--beta", "2"]) is None
 
 
 class TestSelfCheckFailure:

@@ -777,9 +777,9 @@ class TestNonCriticalSlope:
 
 class TestPhiMaps:
     def test_outside_window_unchanged(self):
-        gen = FracHeckeWord.generator(4, 2)
+        gen = HeckeWord.generator(4, 2)
         assert phi_ij(gen, 1, 3, LAM) == gen
-        gen0 = FracHeckeWord.generator(0, 2)
+        gen0 = HeckeWord.generator(0, 2)
         assert phi_ij(gen0, 1, 3, LAM) == gen0
 
     def test_transfer_lemma_exhaustive_gl4(self):
@@ -789,7 +789,7 @@ class TestPhiMaps:
                 for j in range(i + 1, 5):
                     rp = Refinement(2, r.sigma * Perm.transposition(i, j, 4))
                     for k in range(1, 5):
-                        gen = FracHeckeWord.generator(k, 2)
+                        gen = HeckeWord.generator(k, 2)
                         moved = phi_ij(gen, i, j, LAM)
                         assert moved.evaluate(rp, LAM).spin_equal(
                             alpha_U_circ(r, k, LAM))
@@ -798,13 +798,13 @@ class TestPhiMaps:
 
     def test_involution(self):
         for k in range(1, 5):
-            gen = FracHeckeWord.generator(k, 2)
+            gen = HeckeWord.generator(k, 2)
             assert phi_ij(phi_ij(gen, 1, 3, LAM), 1, 3, LAM) == gen
             assert phi_ij(phi_ij(gen, 2, 4, LAM), 2, 4, LAM) == gen
 
     def test_phi_tau_empty(self):
         apply_tau = phi_tau([], LAM)
-        gen = FracHeckeWord.generator(2, 2)
+        gen = HeckeWord.generator(2, 2)
         assert apply_tau(gen) == gen
 
     def test_phi_tau_2134(self):
@@ -812,7 +812,7 @@ class TestPhiMaps:
         taus, target = to_B_spin(r)
         apply_tau = phi_tau(taus, LAM)
         for k in range(1, 5):
-            assert apply_tau(FracHeckeWord.generator(k, 2)).evaluate(
+            assert apply_tau(HeckeWord.generator(k, 2)).evaluate(
                 target, LAM).spin_equal(alpha_U_circ(r, k, LAM))
 
     def test_phi_tau_weight_invariance(self):
@@ -822,7 +822,7 @@ class TestPhiMaps:
             taus, _ = to_B_spin(r)
             p = optimal_parabolic(r).optimal
             apply_base = phi_tau(taus, LAM)
-            base_pows = [apply_base(FracHeckeWord.generator(k, 2)).p_half
+            base_pows = [apply_base(HeckeWord.generator(k, 2)).p_half
                          for k in range(1, 5)]
             from spinref.parabolic import weight_in_parabolic_coset
             for _ in range(5):
@@ -834,6 +834,6 @@ class TestPhiMaps:
                 lam2 = PureWeight.from_coeffs((l1, l2, l3, l3 - 11))
                 assert weight_in_parabolic_coset(lam2, LAM, p)
                 apply2 = phi_tau(taus, lam2)
-                pows = [apply2(FracHeckeWord.generator(k, 2)).p_half
+                pows = [apply2(HeckeWord.generator(k, 2)).p_half
                         for k in range(1, 5)]
                 assert pows == base_pows
