@@ -37,7 +37,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .hecke import (MissingSlopeError, alpha_U, non_critical_slope, solve_profile_joint)
@@ -218,72 +218,15 @@ def _parse_parabolic(text: str, n: int | None = None) -> SpinParabolic:
 # classify
 # ---------------------------------------------------------------------------
 
-# classify formats and writes this many members of a stratum at a time.
-MEMBERS_PER_WRITE = 1 << 13
-
-# Per byte value v: the units digit of v, and the tens digit of v or a NUL
-# placeholder (deleted afterwards) when v < 10.
-_UNITS = bytes(ord("0") + v % 10 for v in range(256))
-_TENS = b"\0" * 10 + bytes(ord("0") + v // 10 % 10 for v in range(10, 256))
-
-
-def _joined_one_line(words: bytes, N: int, sep: str) -> str:
-    """sep.join of the one-line notation of each N-byte word, in bulk.
-
-    Same text as format_one_line per member (digits concatenated for
-    N <= 9, comma-separated above; values below 100), built column by
-    column with translate and strided slice assignment instead of member by
-    member.
-    """
-    count = len(words) // N
-    units = words.translate(_UNITS)
-    if N <= 9:
-        columns = [units[i::N] for i in range(N)]
-    else:
-        tens = words.translate(_TENS)
-        comma = b"," * count
-        columns = []
-        for i in range(N):
-            columns += [tens[i::N], units[i::N], comma]
-        columns.pop()
-    columns += [bytes([c]) * count for c in sep.encode()]
-    stride = len(columns)
-    out = bytearray(stride * count)
-    for offset, column in enumerate(columns):
-        out[offset::stride] = column
-    del out[len(out) - len(sep):]
-    if N > 9:
-        out = out.translate(None, b"\0")
-    return out.decode("ascii")
-
-
-def _blocks(chunks: Iterable[bytes], size: int) -> Iterator[bytes]:
-    """The concatenation of chunks, in pieces of at most size bytes.
-
-    Chunks are joined while they fit in a piece; a larger chunk is sliced.
-    """
-    pending, held = [], 0
-    for chunk in chunks:
-        if held + len(chunk) > size:
-            if held:
-                yield b"".join(pending)
-            whole = len(chunk) - len(chunk) % size
-            for start in range(0, whole, size):
-                yield chunk[start:start + size]
-            chunk, pending, held = chunk[whole:], [], 0
-        pending.append(chunk)
-        held += len(chunk)
-    if held:
-        yield b"".join(pending)
-
-
 def cmd_classify(args) -> int:
     n = args.n
     if n < 1:
         raise CliError(f"--n must be >= 1, got {_cut(str(n))}")
     _check_bound(args.bound)
+    # the text between two members: the stratum's chunks hold it before each
+    sep = '", "' if args.format == "json" else " "
     try:
-        strata = stratum_words(n, args.bound)
+        strata = stratum_words(n, sep, args.bound)
     except EnumerationBoundError as exc:
         raise CliError(_why(exc, f"--n {n} --bound {args.bound}"), EXIT_BOUND) from exc
     N = 2 * n
@@ -292,18 +235,17 @@ def cmd_classify(args) -> int:
     total = sum(sizes.values())
     out = sys.stdout
 
-    def write_row(p: SpinParabolic, head: str, sep: str, tail: str) -> None:
+    def write_row(p: SpinParabolic, head: str, tail: str) -> None:
         """Write head, the stratum's members joined by sep, then tail.
 
-        The members are formatted MEMBERS_PER_WRITE at a time, as the
-        stratum's chunks are made.
+        Each chunk, one head's group of members with sep before each, is
+        written as it is made; the first goes without its leading sep, and
+        an empty stratum has none.
         """
         _, chunks = strata.pop(p)
-        out.write(head)
-        lead = ""
-        for block in _blocks(chunks, MEMBERS_PER_WRITE * N):
-            out.write(lead + _joined_one_line(block, N, sep))
-            lead = sep
+        out.write(head + next(chunks, sep)[len(sep):])
+        for chunk in chunks:
+            out.write(chunk)
         out.write(tail)
 
     if args.format == "json":
@@ -313,7 +255,7 @@ def cmd_classify(args) -> int:
             quote = '"' if sizes[p] else ""
             write_row(p, f'{", " if index else ""}{{"parabolic": {json.dumps(p.label())}, '
                          f'"xp": {json.dumps(sorted(p.xp))}, "dim": {pure_parabolic_dim(p)}, '
-                         f'"size": {sizes[p]}, "members": [{quote}', '", "', f"{quote}]}}")
+                         f'"size": {sizes[p]}, "members": [{quote}', f"{quote}]}}")
         out.write("]}\n")
     elif args.format == "csv":
         # The csv module writes the header and each row's first four fields.
@@ -325,7 +267,7 @@ def cmd_classify(args) -> int:
             out.write("\n")
             writer.writerow([p.label(), format_xp(p.xp), pure_parabolic_dim(p), sizes[p], ""])
             quote = '"' if N > 9 and sizes[p] else ""
-            write_row(p, quote, " ", quote)
+            write_row(p, quote, quote)
         out.write("\n")
     else:
         print(f"stratification of the {total} refinements of GL({N}) "
@@ -336,7 +278,7 @@ def cmd_classify(args) -> int:
         for p in order:
             head = (f"{p.label():<{width + 2}}{format_xp(p.xp):<{xp_width + 2}}"
                     f"{pure_parabolic_dim(p):<5}{sizes[p]:<6}")
-            write_row(p, head if sizes[p] else head.rstrip(), " ", "\n")
+            write_row(p, head if sizes[p] else head.rstrip(), "\n")
         counts = ", ".join(f"{p.label()}: {sizes[p]}" for p in order)
         print(f"totals: {counts}")
     return 0

@@ -113,8 +113,8 @@ def require_memory(n: int, need: int, purpose: str) -> None:
 
     need is what the request at rank n holds, and purpose names it after
     "bytes", as "for its head table".  Every memory refusal is raised
-    here, with one sentence: "n=3 needs 69994 bytes for its head table,
-    more than the 69993 bytes of memory this process may use".  From
+    here, with one sentence: "n=3 needs 70441 bytes for its head table,
+    more than the 70440 bytes of memory this process may use".  From
     10^60 on, n and need are written "n above 10^60" and "over 10^60".
     Where physical_memory says nothing, nothing is refused.
     """

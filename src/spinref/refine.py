@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import lru_cache
 from math import comb, factorial
 from operator import itemgetter
@@ -208,40 +208,47 @@ class StratumCountError(SelfCheckError):
     """An enumerated stratum's size differs from its closed-form count."""
 
 
-def _head_table_bytes(n: int) -> int:
-    """An upper bound of the bytes that stratum_words(n) holds, in closed form.
+def _head_table_bytes(n: int, sep: str) -> int:
+    """An upper bound of the bytes that stratum_words(n, sep) holds, in closed form.
 
     Counted on 64-bit CPython: a list or dict slot at 9 bytes (lists
     grow by an eighth), a dict entry at 56, a dict at 224 and a list at 104
-    with its slack, a pair at 56, a bytes object of m values at 33 + m,
-    and an int (a mask, a position or a spin set) at 32.  The table holds
+    with its slack, a pair at 56, a bytes object of m characters at 33 + m,
+    an ASCII text of m characters at 49 + m, and an int (a mask, a position
+    or a spin set) at 32.  A head and one of its arrangements write every
+    value once, so their texts hold P characters together: sep and as many
+    as the one-line text of the identity (above degree 9 the head's
+    trailing comma is the one between its values and the arrangement's).
+    The table holds
 
-    * C(2n, n) sets R, each with its n! arrangements as bytes, in a list
+    * C(2n, n) sets R, each with its n! arrangements as text, in a list
       after an empty one, and the ranks of the partners as bytes;
     * the suffix index (_suffix_positions): the positions 1..n!, and for
       each of the 2^n sets of ranks its (k, mask) key and a list of
       positions, n slots per position in all;
-    * (2n)!/n! heads (as many as arrangements), each its bytes, a record
+    * (2n)!/n! heads (as many as arrangements), each its text, a record
       of four and a slot in the records and in each by_min list;
     * one split per ordered choice of j of the n ranks, for j = 0..n
       other than n-1 (see stratum_words), each with its key, n! position
       slots and at most 2^j groups, and the n! spin sets of the split
       being made;
-    * about 1 kB for each stratum's parabolic, key and count, a chunk
-      being read (its positions, its tails and its bytes), and 16 kB for
+    * a chunk being read: the tuple of its arrangements, at most n!, and
+      its bytes, its text and the text less its first sep, each of at most
+      n! * P characters;
+    * about 1 kB for each stratum's parabolic, key and count, and 16 kB for
       what a process makes once (the caches, the memory limit's reads).
 
-    Measured with tracemalloc on 64-bit CPython 3.11, stratum_words and
-    the reading of every stratum peaked at about 37 kB, 0.38 MB and 6.1 MB
-    at n = 3, 4 and 5; this bound gives 1.2 to 1.9 times as much.  At n = 6
-    it is 161 MB against a traced 128 MB, and a whole classify run peaked
-    at 156 MB of RSS; at n = 7 it is 4.4 GB.
+    Measured with tracemalloc on 64-bit CPython 3.11, stratum_words(n, " ")
+    and the reading of every stratum peaked at about 48 kB, 0.40 MB and
+    6.6 MB at n = 3, 4 and 5, and with the json sep '", "' a little lower;
+    this bound gives 1.2 to 2.1 times as much.  At n = 6 it is 171 MB
+    against a traced 138 MB; at n = 7 it is 4.7 GB.
     """
     F, C = factorial(n), comb(2 * n, n)
     SLOT, ENTRY, DICT, LIST, PAIR, INT = 9, 56, 224, 104, 56, 32
-    word = 33 + n
+    P = len(sep) + len(format_one_line(Perm.identity(2 * n)))
     total = (16384 + 1024 * 2 ** n + C * (ENTRY + INT + PAIR + LIST + 34 + 2 * n)
-             + C * F * (2 * word + 72 + (n + 1) * SLOT)
+             + C * F * (2 * 33 + P + 72 + (n + 1) * SLOT) + F * (SLOT + 3 * P) + 3 * 49
              + F * (INT + (n + 2) * SLOT) + 2 ** n * (ENTRY + PAIR + INT + LIST) + LIST)
     for j in (*range(n - 1), n):
         total += F // factorial(n - j) * (ENTRY + 40 + 8 * j + LIST + DICT + F * SLOT
@@ -288,21 +295,25 @@ def _rank_split(n: int, ranks: tuple[int, ...]) -> dict[int, list[int]]:
     return groups
 
 
-def _head_table(n: int) -> tuple[list[tuple], Counter]:
+def _head_table(n: int, sep: str) -> tuple[list[tuple], Counter]:
     """One pass over the heads: a record for every head, and every size.
 
     Returns a record (j, head, groups, words) for every head, in one-line
-    order, and the member count of each spin set (k as bit k-1).  words is
+    order, and the member count of each spin set (k as bit k-1).  Words
+    are ASCII bytes of one-line text (format_one_line): head is sep, the
+    head's text and, above degree 9, a comma; words is the text of each of
     R's arrangements after an empty one, so that head.join writes the head
-    before each, and groups maps a spin set to the positions in words of
-    the head's part of that stratum, after a 0.  groups is the split that
-    all heads with the same partner ranks share (_rank_split).  Sets of
-    values are masks (v as bit v).  The split table is freed on return,
-    before any stratum is read.
+    before each.  groups maps a spin set to the positions in words of the
+    head's part of that stratum, after a 0; it is the split that all heads
+    with the same partner ranks share (_rank_split).  Sets of values are
+    masks (v as bit v).  The split table is freed on return, before any
+    stratum is read.
     """
     N = 2 * n
     bits = tuple(1 << v for v in range(N + 1))
     everything = sum(bits[1:])
+    comma = b"," if N > 9 else b""
+    texts = [str(v).encode() for v in range(N + 1)]
     # For each set R of n values, keyed by its mask: its arrangements, and
     # the rank within R of each value's partner (n when the partner is not
     # in R).
@@ -312,16 +323,19 @@ def _head_table(n: int) -> tuple[list[tuple], Counter]:
         for i, v in enumerate(rest):
             rank[N + 1 - v] = i
         tails[sum(map(bits.__getitem__, rest))] = (
-            [b"", *map(bytes, itertools.permutations(rest))], bytes(rank))
+            [b"", *map(comma.join, itertools.permutations(map(texts.__getitem__, rest)))],
+            bytes(rank))
+    lead = sep.encode("ascii")
     splits, uses, records = {}, Counter(), []
     add_record = records.append
-    for head in map(bytes, itertools.permutations(range(1, N + 1), n)):
-        words, rank = tails[everything ^ sum(map(bits.__getitem__, head))]
-        ranks = tuple(itertools.takewhile(n.__gt__, map(rank.__getitem__, head)))
+    for values in itertools.permutations(range(1, N + 1), n):
+        words, rank = tails[everything ^ sum(map(bits.__getitem__, values))]
+        ranks = tuple(itertools.takewhile(n.__gt__, map(rank.__getitem__, values)))
         groups = splits.get(ranks)
         if groups is None:
             groups = splits[ranks] = _rank_split(n, ranks)
         uses[ranks] += 1
+        head = lead + comma.join(map(texts.__getitem__, values)) + comma
         add_record((len(ranks), head, groups, words))
     sizes = Counter()
     for ranks, groups in splits.items():
@@ -330,25 +344,27 @@ def _head_table(n: int) -> tuple[list[tuple], Counter]:
     return records, sizes
 
 
-def _joined_groups(records: list[tuple], key: int) -> Iterator[bytes]:
+def _joined_groups(records: list[tuple], key: int) -> Iterator[str]:
     """head.join of each record's group for the spin key, in record order."""
     for _, head, groups, words in records:
         group = groups.get(key)
         if group is not None:
             # a group of every position (G at j = 0) is words itself
-            yield head.join(words if len(group) == len(words) else itemgetter(*group)(words))
+            yield head.join(words if len(group) == len(words)
+                            else itemgetter(*group)(words)).decode("ascii")
 
 
-def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
-                  ) -> dict[SpinParabolic, tuple[int, Iterable[bytes]]]:
+def stratum_words(n: int, sep: str, bound: int = DEFAULT_ENUMERATION_BOUND
+                  ) -> dict[SpinParabolic, tuple[int, Iterator[str]]]:
     """Partition all (2n)! one-line words by their optimal spin parabolic.
 
     Every spin parabolic appears as a key, possibly with an empty stratum.
     A stratum is (size, chunks): its member count, and a lazy iterator of
-    bytes objects that concatenate to its members' one-line images, one
-    byte per value and 2n bytes per member, in one-line order.  Each
-    iterator can be read once, and the strata in any order; a chunk is
-    made only when it is read.
+    texts that concatenate to sep before each member's one-line text
+    (format_one_line), in one-line order; sep is ASCII.  A chunk is one
+    head's part of the stratum, at most n! members.  Each iterator can be
+    read once, and the strata in any order; a chunk is made only when it
+    is read.
 
     The words are enumerated as a head h (the first n values, in one-line
     order) followed by each arrangement of the rest R of the values, which
@@ -370,12 +386,13 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
     (_suffix_positions).  At n = 5, 206 splits group 24,720 positions and
     place all 3,628,800 words.
 
-    Nothing is copied in the pass.  Each head is a record of its j, its
-    bytes, its split and R's arrangements, and stratum X, which only heads
-    with j >= max X reach (every head, for G), is the head.join of the
-    arrangements at its group's positions in each such record, in head
-    order.  Every size is counted in the pass and checked against the
-    closed form before any chunk is made.  A rank whose head table
+    Every text is made once, in the pass (_head_table): each head is a
+    record of its j, its text, its split and the texts of R's arrangements,
+    and stratum X, which only heads with j >= max X reach (every head, for
+    G), is the head.join of the arrangements at its group's positions in
+    each such record, in head order, decoded once.  Every size is counted
+    in the pass and checked against the closed form before any chunk is
+    made.  A rank whose head table
     (_head_table_bytes) exceeds the memory this process may use is
     refused before the pass (parabolic.require_memory).
     """
@@ -390,8 +407,9 @@ def stratum_words(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
         heads *= k
         if heads > cap:
             break
-    require_memory(n, _head_table_bytes(n) if heads <= cap else heads, "for its head table")
-    records, sizes = _head_table(n)
+    require_memory(n, _head_table_bytes(n, sep) if heads <= cap else heads,
+                   "for its head table")
+    records, sizes = _head_table(n, sep)
     counts = stratum_counts(n)
     keys = {p: sum(1 << (k - 1) for k in p.xp) for p in all_spin_parabolics(n)}
     for p, key in keys.items():
@@ -414,12 +432,8 @@ def stratify(n: int, bound: int = DEFAULT_ENUMERATION_BOUND
     Every spin parabolic appears as a key, possibly with an empty stratum;
     members are sorted by one-line notation.
     """
-    N = 2 * n
-    strata = {}
-    for p, (_, chunks) in stratum_words(n, bound).items():
-        words = b"".join(chunks)
-        strata[p] = [Refinement(n, Perm(tuple(words[i:i + N]))) for i in range(0, len(words), N)]
-    return strata
+    return {p: list(map(Refinement.from_one_line, "".join(chunks).split()))
+            for p, (_, chunks) in stratum_words(n, " ", bound).items()}
 
 
 def parahoric_restrict(r: Refinement, p: SpinParabolic) -> ParahoricRefinement:

@@ -17,7 +17,7 @@ from spinref.cli import main, refinement_report
 from spinref.parabolic import all_spin_parabolics
 from spinref.ratfunc import RatFunc
 from spinref.refine import Refinement
-from spinref.weyl import Perm, format_one_line
+from spinref.weyl import format_one_line
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -110,23 +110,48 @@ class TestClassify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[n, fmt]
 
-    def test_pinned_digest_n5_csv(self, monkeypatch):
+    # SHA-256 of the n = 5 output, recorded while the head table held bytes
+    # and cli formatted them a block at a time; the output must not change.
+    PINNED_N5 = {
+        "table": "86a0bdbfc9c66d60ee7f6f8ff062edb348fab88a64cbc77541bdd3c3ae114c3f",
+        "json": "f828483e2b074eda808c7e37f79b2833c04fc030cdab56f23895cd6f974a849e",
+        "csv": "e2e4122cdca152e644007dcf2861a5e36846a575f657d9f52adcd24d19fd95bb",
+    }
+
+    class HashingStdout:
+        """A stdout that hashes what is written and keeps the longest write."""
+
+        def __init__(self):
+            self.digest = hashlib.sha256()
+            self.longest = 0
+
+        def write(self, text):
+            self.digest.update(text.encode())
+            self.longest = max(self.longest, len(text))
+            return len(text)
+
+    @pytest.mark.parametrize("fmt", sorted(PINNED_N5))
+    def test_pinned_digest_n5(self, monkeypatch, fmt):
         # The largest default rank, and the only one whose members hold
-        # commas (degree 10), so the CSV field is quoted; 76 MB are hashed as
-        # they are written instead of captured.
-        class HashingStdout:
-            def __init__(self):
-                self.digest = hashlib.sha256()
-
-            def write(self, text):
-                self.digest.update(text.encode())
-                return len(text)
-
-        sink = HashingStdout()
+        # commas (degree 10), so the CSV field is quoted; up to 90 MB are
+        # hashed as they are written instead of captured.
+        sink = self.HashingStdout()
         monkeypatch.setattr("sys.stdout", sink)
-        assert main(["classify", "--n", "5", "--format", "csv"]) == 0
-        assert sink.digest.hexdigest() == \
-            "e2e4122cdca152e644007dcf2861a5e36846a575f657d9f52adcd24d19fd95bb"
+        assert main(["classify", "--n", "5", "--format", fmt]) == 0
+        assert sink.digest.hexdigest() == self.PINNED_N5[fmt]
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_rows_are_written_a_head_at_a_time(self, monkeypatch, fmt):
+        # No stratum is formatted whole: a write holds at most one head's
+        # group, 4! members of 8 digits each with the separator before it
+        # (", " and two quotes in json), and the row's own head and tail,
+        # under 100 characters here.  G alone has 14,784 members at n = 4.
+        sink = self.HashingStdout()
+        monkeypatch.setattr("sys.stdout", sink)
+        assert main(["classify", "--n", "4", "--format", fmt]) == 0
+        assert sink.digest.hexdigest() == self.PINNED[4, fmt]
+        sep = 4 if fmt == "json" else 1
+        assert sink.longest <= 24 * (sep + 8) + 100
 
     # Runs python with the given arguments and stdout to /dev/null, then
     # prints its exit code and peak RSS.  A fresh interpreter forks the run:
@@ -160,35 +185,6 @@ class TestClassify:
         base = peak_kib("-c", "import spinref.cli")
         excess = peak_kib("-m", "spinref", "classify", "--n", "5", "--format", "csv") - base
         assert excess <= 32 * 1024, f"{excess / 1024:.1f} MB above the import"
-
-    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-    def test_pinned_digest_written_in_small_blocks(self, capsys, monkeypatch, fmt):
-        # at 1 member a block, every chunk of G (up to 3! members) is sliced
-        for members in (7, 1):
-            monkeypatch.setattr(cli, "MEMBERS_PER_WRITE", members)
-            code, out, _ = run(capsys, "classify", "--n", "3", "--format", fmt)
-            assert code == 0
-            assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[3, fmt]
-
-    def test_blocks_rejoin_to_the_chunks(self):
-        rng = random.Random(5)
-        for _ in range(2000):
-            size = rng.randint(1, 12)
-            chunks = [rng.randbytes(rng.choice([0, 1, 5, size, size + 1, 3 * size + 2]))
-                      for _ in range(rng.randint(0, 6))]
-            blocks = list(cli._blocks(chunks, size))
-            assert b"".join(blocks) == b"".join(chunks)
-            assert all(0 < len(block) <= size for block in blocks)
-
-    @pytest.mark.parametrize("N", [2, 4, 8, 10, 12, 14])
-    @pytest.mark.parametrize("sep", [" ", '", "'])
-    def test_bulk_one_line_matches_format_one_line(self, N, sep):
-        rng = random.Random(N)
-        perms = [Perm(tuple(rng.sample(range(1, N + 1), N))) for _ in range(50)]
-        words = b"".join(bytes(p.images) for p in perms)
-        assert cli._joined_one_line(words, N, sep) == \
-            sep.join(format_one_line(p) for p in perms)
-        assert cli._joined_one_line(b"", N, sep) == ""
 
 
 class TestInfo:
@@ -523,18 +519,20 @@ class TestZeta:
 # Every memory refusal: the request, the bytes this process may use, and the
 # bytes the request needs, as the shared sentence writes them.
 MEMORY_REFUSALS = [
-    # n = 3 holds at most 69994 bytes of head table (refine._head_table_bytes)
-    pytest.param(["classify", "--n", "3"], 69993, "n=3", "69994 bytes for its head table",
+    # n = 3 holds at most 70441 bytes of head table in the table format
+    # (refine._head_table_bytes)
+    pytest.param(["classify", "--n", "3"], 70440, "n=3", "70441 bytes for its head table",
                  id="classify-n3"),
     # below 10^60 the figure is exact, however small the memory
-    pytest.param(["classify", "--n", "20", "--bound", "20"], 69993, "n=20",
-                 f"{refine._head_table_bytes(20)} bytes for its head table", id="classify-n20"),
+    pytest.param(["classify", "--n", "20", "--bound", "20"], 70440, "n=20",
+                 f"{refine._head_table_bytes(20, ' ')} bytes for its head table",
+                 id="classify-n20"),
     # (2000)!/1000! heads: the figure passes 10^60 and is not multiplied out
-    pytest.param(["classify", "--n", "1000", "--bound", "1000"], 69993, "n=1000",
+    pytest.param(["classify", "--n", "1000", "--bound", "1000"], 70440, "n=1000",
                  "over 10^60 bytes for its head table", id="classify-n1000"),
     # the heads, (400000)!/200000!, are multiplied out only until they pass
     # 10^60, so a huge n ends at once
-    pytest.param(["classify", "--n", "200000", "--bound", "200000"], 69993, "n=200000",
+    pytest.param(["classify", "--n", "200000", "--bound", "200000"], 70440, "n=200000",
                  "over 10^60 bytes for its head table", id="classify-n200000"),
     # (3,3) at beta 1: delta's 4 indices and the 2 blocks at 100 bytes, and
     # per unit of n 32 + 4 * (8 + 32) + 2 * (64 + 1 + 1) = 324 for exponents
@@ -568,7 +566,7 @@ def test_memory_refusal(capsys, monkeypatch, argv, have, rank, need):
 
 def test_memory_run_out_exits_2(capsys, monkeypatch):
     # a MemoryError that no bound foresaw ends in main, not in a traceback
-    def exhausted(n, bound):
+    def exhausted(n, sep, bound):
         raise MemoryError
 
     monkeypatch.setattr(cli, "stratum_words", exhausted)
@@ -576,7 +574,8 @@ def test_memory_run_out_exits_2(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, have", [
-    pytest.param(["classify", "--n", "3", "--format", "json"], 69994, id="classify-n3"),
+    # the json members' separator, '", "', makes the table 70855 bytes
+    pytest.param(["classify", "--n", "3", "--format", "json"], 70855, id="classify-n3"),
     pytest.param(["zeta", "--parabolic", "3,3"], 1572, id="zeta"),
     pytest.param(["mtau", "--parabolic", "3,3"], 400, id="levi-mtau"),
 ])

@@ -12,7 +12,7 @@ from spinref.refine import (EnumerationBoundError, Refinement, StratumCountError
                             gamma, improve_spin_step, is_B_spin, is_P_spin, is_r_spin,
                             optimal_parabolic, parahoric_is_spin, parahoric_restrict,
                             spin_set, stratify, stratum_counts, to_B_spin)
-from spinref.weyl import Perm, enumerate_wg0
+from spinref.weyl import Perm, enumerate_wg0, format_one_line
 
 ALL_S4 = [Refinement(2, Perm(images))
           for images in itertools.permutations((1, 2, 3, 4))]
@@ -50,6 +50,13 @@ def own_split(n, head):
         spins = frozenset(k for k in range(1, n + 1) if is_r_spin(r, k))
         groups.setdefault(spins, [0]).append(index)
     return groups
+
+
+def own_texts(sep, head, rest):
+    """sep and the one-line text of head + each arrangement of rest, as the
+    head table's records write them, by format_one_line."""
+    return [(sep + format_one_line(Perm(tuple(head) + tail))).encode()
+            for tail in itertools.permutations(rest)]
 
 
 def split_by_spin_set(n, groups):
@@ -265,7 +272,7 @@ class TestStratify:
         monkeypatch.setattr(refine, "stratum_counts", lambda n: wrong)
         with pytest.raises(StratumCountError, match=r"^stratum G has 384 members, "
                                                     r"closed form 385$"):
-            refine.stratum_words(3)
+            refine.stratum_words(3, " ")
 
     def test_members_sorted_and_spin_exactly_xp(self):
         for n in (3, 4):
@@ -275,49 +282,57 @@ class TestStratify:
                 for r in members:
                     assert {k for k in range(1, n + 1) if is_r_spin(r, k)} == p.xp
 
+    @pytest.mark.parametrize("sep", [" ", '", "'])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_bulk_words_match_naive_bucketing(self, n):
-        # The slow independent check of the bulk writes: each word of
-        # itertools.permutations on its own, put in the stratum of its spin set.
-        naive = {p: bytearray() for p in all_spin_parabolics(n)}
+    def test_bulk_words_match_naive_bucketing(self, n, sep):
+        # The slow independent check of the bulk text: each word of
+        # itertools.permutations on its own, formatted by format_one_line
+        # after sep and put in the stratum of its spin set.
+        naive = {p: [] for p in all_spin_parabolics(n)}
         by_xp = {p.xp: p for p in naive}
         for images in itertools.permutations(range(1, 2 * n + 1)):
-            naive[by_xp[spin_set(Refinement(n, Perm(images)))]] += bytes(images)
-        words = refine.stratum_words(n)
+            r = Refinement(n, Perm(images))
+            naive[by_xp[spin_set(r)]].append(sep + format_one_line(r.sigma))
+        words = refine.stratum_words(n, sep)
         assert list(words) == list(naive)
         # read as classify reads them: in row order, each stratum to its end
         # before the next, every one a single-use iterator over one table
         for p in sorted(naive, key=lambda p: (-len(p.xp), p.composition)):
             size, chunks = words[p]
-            assert b"".join(chunks) == naive[p], p.label()
-            assert size * 2 * n == len(naive[p]), p.label()
-            assert next(iter(chunks), None) is None, p.label()
+            assert "".join(chunks) == "".join(naive[p]), p.label()
+            assert size == len(naive[p]), p.label()
+            assert next(chunks, None) is None, p.label()
 
+    @pytest.mark.parametrize("sep", [" ", '", "'])
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_head_table_bound_covers_the_traced_peak(self, n):
+    def test_head_table_bound_covers_the_traced_peak(self, n, sep):
         # the memory refusal's figure is an upper bound of what is held,
         # while the table is built and while every stratum is read
         tracemalloc.start()
         try:
-            for _, chunks in refine.stratum_words(n).values():
+            for _, chunks in refine.stratum_words(n, sep).values():
                 for _ in chunks:
                     pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= refine._head_table_bytes(n)
+        assert peak <= refine._head_table_bytes(n, sep)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_head_split_matches_its_own_arrangements(self, n):
         # the slow independent check of the sharing rule: each head's shared
         # split, keyed by its partner ranks, equals the split of its own R,
-        # word by word with is_r_spin
-        records, _ = refine._head_table(n)
+        # word by word with is_r_spin; and each head and arrangement write
+        # the word's one-line text after sep
+        sep = '", "'
+        records, _ = refine._head_table(n, sep)
         heads = list(itertools.permutations(range(1, 2 * n + 1), n))
-        assert [record[1] for record in records] == list(map(bytes, heads))
+        assert [record[1] for record in records] == \
+            [(sep + "".join(map(str, values))).encode() for values in heads]
         for (j, head, groups, words), values in zip(records, heads):
             rest = sorted(set(range(1, 2 * n + 1)) - set(values))
-            assert words == [b"", *map(bytes, itertools.permutations(rest))]
+            assert words[0] == b""
+            assert [head + word for word in words[1:]] == own_texts(sep, values, rest)
             assert j == len(partner_ranks(n, values))
             assert split_by_spin_set(n, groups) == own_split(n, values), head
 
@@ -350,12 +365,16 @@ class TestStratify:
             if sum(len(other) == len(ranks) for other in sampled.values()) < 2:
                 sampled[values] = ranks
         if n == 5:
-            records = refine._head_table(n)[0]
+            records = refine._head_table(n, " ")[0]
             heads = list(itertools.permutations(range(1, 2 * n + 1), n))
         for values, ranks in sampled.items():
             if n == 5:
-                j, head, groups, _ = records[heads.index(values)]
-                assert (j, head) == (len(ranks), bytes(values))
+                # degree 10: values comma-separated, the head's text ending
+                # in the comma before its arrangement's
+                j, head, groups, words = records[heads.index(values)]
+                assert (j, head) == (len(ranks), (" " + ",".join(map(str, values)) + ",").encode())
+                rest = sorted(set(range(1, 2 * n + 1)) - set(values))
+                assert [head + word for word in words[1:]] == own_texts(" ", values, rest)
             else:
                 groups = refine._rank_split(n, ranks)
             assert split_by_spin_set(n, groups) == own_split(n, values), values
