@@ -318,13 +318,13 @@ class TestStratify:
             tracemalloc.stop()
         assert peak <= refine._head_table_bytes(n, sep)
 
+    @pytest.mark.parametrize("sep", [" ", '", "'])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_every_head_split_matches_its_own_arrangements(self, n):
+    def test_every_head_split_matches_its_own_arrangements(self, n, sep):
         # the slow independent check of the sharing rule: each head's shared
         # split, keyed by its partner ranks, equals the split of its own R,
         # word by word with is_r_spin; and each head and arrangement write
         # the word's one-line text after sep
-        sep = '", "'
         records, _ = refine._head_table(n, sep)
         heads = list(itertools.permutations(range(1, 2 * n + 1), n))
         assert [record[1] for record in records] == \
@@ -378,6 +378,20 @@ class TestStratify:
             else:
                 groups = refine._rank_split(n, ranks)
             assert split_by_spin_set(n, groups) == own_split(n, values), values
+
+    @pytest.mark.parametrize("sep", [" ", '", "'])
+    def test_degree_10_heads_write_comma_separated_text(self, sep):
+        # every head at n = 5 is sep, its values comma-separated and the
+        # comma before its arrangement's text; every 97th head's
+        # arrangements write the whole word as format_one_line does
+        records = refine._head_table(5, sep)[0]
+        heads = list(itertools.permutations(range(1, 11), 5))
+        assert [record[1] for record in records] == \
+            [(sep + ",".join(map(str, values)) + ",").encode() for values in heads]
+        for (_, head, _, words), values in list(zip(records, heads))[::97]:
+            rest = sorted(set(range(1, 11)) - set(values))
+            assert words[0] == b""
+            assert [head + word for word in words[1:]] == own_texts(sep, values, rest)
 
     def test_counts_n3(self):
         strata = stratify(3)
